@@ -86,7 +86,7 @@ def _load_pair(args):
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(max_iters=args.max_iters, tol=args.tol, seed=args.seed)
+    return SolverConfig(max_iters=args.max_iters, tol=args.tol)
 
 
 def _cmd_disc(args) -> int:
@@ -241,9 +241,7 @@ def _cmd_exp2(args) -> int:
         lam=args.lam,
         out_path=args.out,
     )
-    solver = SolverConfig(
-        max_iters=args.max_iters, eta0=EXP2_ETA0, tol=args.tol, seed=args.seed
-    )
+    solver = SolverConfig(max_iters=args.max_iters, eta0=EXP2_ETA0, tol=args.tol)
     record = run_experiment_2(cfg, m_values=_m_values(args), solver=solver)
     _emit_record(record, args.out)
     return EXIT_OK
@@ -252,7 +250,6 @@ def _cmd_exp2(args) -> int:
 def _add_solver_flags(parser: argparse.ArgumentParser, default_iters: int = 2000) -> None:
     parser.add_argument("--max-iters", type=int, default=default_iters)
     parser.add_argument("--tol", type=float, default=1e-6)
-    parser.add_argument("--seed", type=int, default=None)
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:

@@ -203,8 +203,7 @@ class KernelBounded:
         from . import linalg  # local import; linalg has no core dependency
 
         g = linalg.SymMatrix(self.gram)
-        vals, _ = linalg.jacobi_eigen(g)
-        if vals.min() < -1e-9:
+        if np.linalg.eigvalsh(g.data).min() < -1e-9:
             raise ValueError("gram matrix is not positive semidefinite")
         object.__setattr__(self, "gram", g.data)
 

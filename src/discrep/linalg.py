@@ -1,9 +1,9 @@
 """Dense symmetric linear algebra used by the quadratic-loss machinery.
 
-The eigensolver is a cyclic Jacobi iteration: simple, deterministic, and
-adequate for the matrix orders this package meets (a few hundred at most).
-Everything here works on plain float arrays; ``SymMatrix`` is a thin validated
-wrapper used at module boundaries.
+Eigendecompositions go through LAPACK's symmetric solver (``numpy.linalg.eigh``)
+with a deterministic order and sign convention on top. Everything here works on
+plain float arrays; ``SymMatrix`` is a thin validated wrapper used at module
+boundaries.
 """
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-
-MAX_JACOBI_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -51,92 +49,27 @@ def _as_array(mat: MatrixLike) -> np.ndarray:
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    """Deterministic eigenvector orientation: first non-tiny component positive."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        lead = nz[0] if nz.size else int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            out[:, j] = -col
-    return out
+    """Deterministic eigenvector orientation: first non-tiny component positive.
+
+    The columns are unit vectors, so each has a component above 1e-12.
+    """
+    lead = (np.abs(vecs) > 1e-12).argmax(axis=0)
+    return vecs * np.where(vecs[lead, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
 
 
-def _eigen_2x2(a00: float, a01: float, a11: float):
-    """Closed-form symmetric 2x2 eigendecomposition (one exact Jacobi rotation)."""
-    if a01 == 0.0:
-        vals = np.array([a00, a11])
-        vecs = np.eye(2)
-    else:
-        tau = (a11 - a00) / (2.0 * a01)
-        t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-        c = 1.0 / math.sqrt(1.0 + t * t)
-        s = t * c
-        vals = np.array([a00 - t * a01, a11 + t * a01])
-        vecs = np.array([[c, s], [-s, c]])
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], _fix_signs(vecs[:, order])
-
-
-def jacobi_eigen(mat: MatrixLike):
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+def sym_eigen(mat: MatrixLike):
+    """Full eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Returns ``(values, vectors)`` with eigenvalues sorted descending and
     eigenvectors as matching columns (orthonormal, leading component positive).
-    Raises ``ArithmeticError`` if the off-diagonal mass has not collapsed after
-    100 sweeps.
+    The sort is stable, so equal eigenvalues keep the order LAPACK returns.
     """
     a = _as_array(mat)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n or n == 0:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError("need a nonempty square matrix")
-    if n == 1:
-        return np.array([float(a[0, 0])]), np.ones((1, 1))
-    if n == 2:
-        return _eigen_2x2(float(a[0, 0]), float(0.5 * (a[0, 1] + a[1, 0])), float(a[1, 1]))
-
-    a = 0.5 * (a + a.T)
-    scale = 1.0 + float(np.linalg.norm(a))
-    off_tol = 1e-12 * scale
-    skip_tol = 1e-18 * scale
-    v = np.eye(n)
-    for _ in range(MAX_JACOBI_SWEEPS):
-        # cancellation-free off-diagonal Frobenius norm
-        off = math.sqrt(2.0) * float(np.linalg.norm(np.triu(a, 1)))
-        if off <= off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip_tol:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        off = math.sqrt(2.0) * float(np.linalg.norm(np.triu(a, 1)))
-        raise ArithmeticError(
-            f"Jacobi iteration did not converge in {MAX_JACOBI_SWEEPS} sweeps "
-            f"(off-diagonal residual {off:.3e})"
-        )
-    vals = np.diag(a).copy()
+    vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
     order = np.argsort(-vals, kind="stable")
-    return vals[order], _fix_signs(v[:, order])
+    return vals[order], _fix_signs(vecs[:, order])
 
 
 def spectral_abs_max(mat: MatrixLike):
@@ -146,7 +79,7 @@ def spectral_abs_max(mat: MatrixLike):
     and ``u`` is a unit vector with ``|u' A u| = value``. Ties between the two
     branches resolve to the positive branch.
     """
-    vals, vecs = jacobi_eigen(mat)
+    vals, vecs = sym_eigen(mat)
     top = float(vals[0])
     bottom = float(vals[-1])
     if top >= -bottom:
@@ -160,7 +93,7 @@ def psd_sqrt(mat: MatrixLike) -> SymMatrix:
     Eigenvalues in [-1e-9, 0) are clamped to zero; anything more negative
     raises ``ValueError("matrix not PSD")``.
     """
-    vals, vecs = jacobi_eigen(mat)
+    vals, vecs = sym_eigen(mat)
     if float(vals.min()) < -1e-9:
         raise ValueError("matrix not PSD")
     root = np.sqrt(np.clip(vals, 0.0, None))
@@ -248,26 +181,36 @@ def gram_matrix(points, kernel: KernelSpec) -> SymMatrix:
 
 
 # --------------------------------------------------------------------------
-# affine matrix families
+# rank-one pencils
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class AffineMatrixFamily:
-    """The symmetric-matrix pencil z -> base - sum_i z_i * terms[i]."""
+class RankOnePencil:
+    """The symmetric-matrix pencil z -> base - sum_k z_k f_k f_k' whose terms
+    are rank one, held by their factors: ``f_k`` is row k of ``factor``.
+
+    The weighted term sum is ``factor' diag(z) factor`` and term k's quadratic
+    form along u is ``(f_k . u)^2``, so no term is ever formed as a matrix.
+    """
 
     base: SymMatrix
-    terms: tuple
+    factor: np.ndarray
 
     def __post_init__(self):
         base = self.base if isinstance(self.base, SymMatrix) else SymMatrix(self.base)
-        terms = tuple(t if isinstance(t, SymMatrix) else SymMatrix(t) for t in self.terms)
-        if not terms:
+        factor = np.array(self.factor, dtype=float)
+        if factor.ndim != 2:
+            raise ValueError("factor must be an (n_terms, order) array")
+        if factor.shape[0] == 0:
             raise ValueError("need at least one term")
-        if any(t.order != base.order for t in terms):
+        if factor.shape[1] != base.order:
             raise ValueError("all terms must share the base matrix order")
+        if not np.isfinite(factor).all():
+            raise ValueError("factor entries must be finite")
+        factor.setflags(write=False)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "factor", factor)
 
     @property
     def order(self) -> int:
@@ -275,17 +218,14 @@ class AffineMatrixFamily:
 
     @property
     def n_terms(self) -> int:
-        return len(self.terms)
+        return self.factor.shape[0]
+
+    def term_sum(self, z: np.ndarray) -> np.ndarray:
+        """sum_k z_k f_k f_k' for an aligned float vector (unvalidated; solver use)."""
+        return self.factor.T @ (z[:, None] * self.factor)
 
     def evaluate(self, z) -> SymMatrix:
         z = np.asarray(z, dtype=float)
         if z.shape != (self.n_terms,):
             raise ValueError("coefficient vector must align with the terms")
-        acc = self.base.data.copy()
-        for zi, t in zip(z, self.terms):
-            acc -= zi * t.data
-        return SymMatrix(acc)
-
-    def stacked(self):
-        """(base array, (n_terms, order, order) stacked term array) for solvers."""
-        return self.base.data.copy(), np.stack([t.data for t in self.terms])
+        return SymMatrix(self.base.data - self.term_sum(z))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import SimplexVector, WeightedEmpirical, point_key
 from .distance import disc_01_threshold1d, joint_support
-from .linalg import AffineMatrixFamily, SymMatrix, jacobi_eigen, psd_sqrt, spectral_abs_max
+from .linalg import RankOnePencil, SymMatrix, psd_sqrt, spectral_abs_max, sym_eigen
 from .simplex_lp import solve_lp
 
 STABILIZATION_WINDOW = 100
@@ -27,13 +27,11 @@ STABILIZATION_WINDOW = 100
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the first-order solvers. ``seed`` is accepted for API
-    uniformity; the solvers here are deterministic and never consume it."""
+    """Knobs for the first-order solvers (all deterministic)."""
 
     max_iters: int = 2000
     eta0: float = 1.0
     tol: float = 1e-6
-    seed: int | None = None
 
     def __post_init__(self):
         if int(self.max_iters) != self.max_iters or self.max_iters < 1:
@@ -60,7 +58,7 @@ class ReweightResult:
     def __post_init__(self):
         if not (math.isfinite(self.achieved_disc) and math.isfinite(self.lower_bound)):
             raise ValueError("discrepancy values must be finite")
-        if self.lower_bound > self.achieved_disc + 1e-9:
+        if self.lower_bound > self.achieved_disc + 1e-9 * max(1.0, abs(self.achieved_disc)):
             raise ValueError("lower_bound exceeds achieved_disc")
 
 
@@ -202,8 +200,9 @@ def minimize_01_lp(q: WeightedEmpirical, p: WeightedEmpirical, regions) -> Rewei
 # --------------------------------------------------------------------------
 
 
-def l2_linear_family(q: WeightedEmpirical, p: WeightedEmpirical) -> AffineMatrixFamily:
-    """Second-moment pencil for feature-space reweighting.
+def l2_linear_family(q: WeightedEmpirical, p: WeightedEmpirical) -> RankOnePencil:
+    """Second-moment pencil for feature-space reweighting: the target moment
+    matrix as base and the reweightable points ``x_k`` as the term factors.
 
     ``evaluate(z)`` returns (target moment matrix) - (reweighted moment
     matrix); the spectral objective is sign-symmetric so the orientation does
@@ -211,17 +210,14 @@ def l2_linear_family(q: WeightedEmpirical, p: WeightedEmpirical) -> AffineMatrix
     """
     if q.dim != p.dim:
         raise ValueError("dimension mismatch between distributions")
-    base = np.zeros((q.dim, q.dim))
-    for row, w in zip(p.points, p.weights):
-        x = np.asarray(row, dtype=float)
-        base += w * np.outer(x, x)
-    terms = [np.outer(np.asarray(r, dtype=float), np.asarray(r, dtype=float)) for r in q.points]
-    return AffineMatrixFamily(base, tuple(terms))
+    base = p.points.T @ (p.weights[:, None] * p.points)
+    return RankOnePencil(base, q.points)
 
 
-def l2_kernel_family(q: WeightedEmpirical, p: WeightedEmpirical, gram) -> AffineMatrixFamily:
+def l2_kernel_family(q: WeightedEmpirical, p: WeightedEmpirical, gram) -> RankOnePencil:
     """Gram-space pencil: conjugate the mass-difference diagonal by the psd
-    square root of the gram matrix over the joint support (q points first)."""
+    square root R of the gram matrix over the joint support (q points first).
+    Term k's factor is column k of R."""
     pts, _, pm = joint_support(q, p)
     k = pts.shape[0]
     g = gram.data if isinstance(gram, SymMatrix) else np.asarray(gram, dtype=float)
@@ -231,24 +227,23 @@ def l2_kernel_family(q: WeightedEmpirical, p: WeightedEmpirical, gram) -> Affine
         )
     root = psd_sqrt(g).data
     base = (root * pm) @ root
-    terms = [np.outer(root[:, i], root[:, i]) for i in range(q.size)]
-    return AffineMatrixFamily(base, tuple(terms))
+    return RankOnePencil(base, root[:, : q.size].T)
 
 
-def _family_objective(family: AffineMatrixFamily):
+def _family_objective(family: RankOnePencil):
     """The map z -> largest absolute eigenvalue of the pencil at z."""
-    base, stack = family.stacked()
+    base = family.base.data
 
     def objective(z) -> float:
-        m = np.tensordot(np.asarray(z, dtype=float), stack, axes=1) - base
-        value, _ = spectral_abs_max(m)
+        value, _ = spectral_abs_max(family.term_sum(np.asarray(z, dtype=float)) - base)
         return float(value)
 
     return objective
 
 
-def _mirror_descent(base: np.ndarray, stack: np.ndarray, cfg: SolverConfig):
-    """Entropic mirror descent for F(z) = specmax(sum_i z_i T_i - B) on the simplex.
+def _mirror_descent(family: RankOnePencil, cfg: SolverConfig):
+    """Entropic mirror descent for F(z) = specmax(sum_k z_k f_k f_k' - B) on the
+    simplex, where B is the pencil's base and f_k its term factors.
 
     Runs the full iteration budget and returns
     ``(z_best, f_best, per_iter_values, converged)`` where ``converged`` means
@@ -256,7 +251,8 @@ def _mirror_descent(base: np.ndarray, stack: np.ndarray, cfg: SolverConfig):
     stabilization window. Subgradient methods plateau and recover, so an early
     stop on a flat window would be premature; the window is only a postmortem.
     """
-    m0 = stack.shape[0]
+    base = family.base.data
+    m0 = family.n_terms
     log_w = np.zeros(m0)
     best_val = np.inf
     best_z = np.full(m0, 1.0 / m0)
@@ -266,7 +262,7 @@ def _mirror_descent(base: np.ndarray, stack: np.ndarray, cfg: SolverConfig):
         shifted = log_w - log_w.max()
         z = np.exp(shifted)
         z /= z.sum()
-        m = np.tensordot(z, stack, axes=1) - base
+        m = family.term_sum(z) - base
         val, u = spectral_abs_max(m)
         trace.append(float(val))
         if val < best_val:
@@ -274,7 +270,7 @@ def _mirror_descent(base: np.ndarray, stack: np.ndarray, cfg: SolverConfig):
             best_z = z
         history.append(best_val)
         sign = 1.0 if float(u @ m @ u) >= 0.0 else -1.0
-        grad = sign * np.einsum("i,kij,j->k", u, stack, u)
+        grad = sign * (family.factor @ u) ** 2
         log_w -= (cfg.eta0 / math.sqrt(t)) * grad
     converged = (
         len(history) > STABILIZATION_WINDOW
@@ -283,33 +279,33 @@ def _mirror_descent(base: np.ndarray, stack: np.ndarray, cfg: SolverConfig):
     return best_z, best_val, trace, converged
 
 
-def _spectral_lower_bound(family: AffineMatrixFamily, z_best: np.ndarray) -> float:
+def _spectral_lower_bound(family: RankOnePencil, z_best: np.ndarray) -> float:
     """Certified lower bound on min_z 4 * specmax(pencil(z)).
 
     For any fixed direction u the pencil's quadratic form is an affine function
     of z whose range over the simplex is the interval spanned by the per-term
-    values; its distance from the target value bounds every z from below. The
-    candidate directions are the eigenvectors of the target moment matrix and
-    of the pencil at the returned weights.
+    values (f_k . u)^2; its distance from the target value bounds every z from
+    below. The candidate directions are the eigenvectors of the target moment
+    matrix and of the pencil at the returned weights.
     """
-    base, stack = family.stacked()
-    candidates = [jacobi_eigen(base)[1]]
-    candidates.append(jacobi_eigen(np.tensordot(z_best, stack, axes=1) - base)[1])
+    base = family.base.data
     best = 0.0
-    for vecs in candidates:
-        for i in range(vecs.shape[1]):
-            u = vecs[:, i]
-            target = float(u @ base @ u)
-            spans = np.einsum("i,kij,j->k", u, stack, u)
-            lo, hi = float(spans.min()), float(spans.max())
-            best = max(best, lo - target, target - hi)
+    for mat in (base, family.term_sum(z_best) - base):
+        vecs = sym_eigen(mat)[1]
+        targets = np.sum(vecs * (base @ vecs), axis=0)
+        spans = (family.factor @ vecs) ** 2
+        best = max(
+            best,
+            float(np.max(spans.min(axis=0) - targets)),
+            float(np.max(targets - spans.max(axis=0))),
+        )
     return 4.0 * best
 
 
-def _minimize_l2(family: AffineMatrixFamily, m0: int, cfg: SolverConfig) -> ReweightResult:
-    base, stack = family.stacked()
+def _minimize_l2(family: RankOnePencil, cfg: SolverConfig) -> ReweightResult:
+    base = family.base.data
     objective = _family_objective(family)
-    if m0 == 1:
+    if family.n_terms == 1:
         z = np.ones(1)
         achieved = 4.0 * objective(z)
         return ReweightResult(
@@ -321,7 +317,8 @@ def _minimize_l2(family: AffineMatrixFamily, m0: int, cfg: SolverConfig) -> Rewe
     scale = float(np.linalg.norm(base))
     if scale <= 0.0:
         scale = 1.0
-    z_best, _, raw_trace, converged = _mirror_descent(base / scale, stack / scale, cfg)
+    scaled = RankOnePencil(base / scale, family.factor / math.sqrt(scale))
+    z_best, _, raw_trace, converged = _mirror_descent(scaled, cfg)
     achieved = 4.0 * objective(z_best)
     lower = _spectral_lower_bound(family, z_best)
     warnings = () if converged else (
@@ -344,7 +341,7 @@ def minimize_l2_linear(
     norm-bounded linear predictors on the raw features."""
     cfg = cfg or SolverConfig()
     family = l2_linear_family(q, p)
-    return _minimize_l2(family, q.size, cfg)
+    return _minimize_l2(family, cfg)
 
 
 def minimize_l2_kernel(
@@ -354,7 +351,7 @@ def minimize_l2_kernel(
     gram matrix over the joint support (q points first, then p-only points)."""
     cfg = cfg or SolverConfig()
     family = l2_kernel_family(q, p, gram)
-    return _minimize_l2(family, q.size, cfg)
+    return _minimize_l2(family, cfg)
 
 
 # --------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discrep.linalg import (
-    AffineMatrixFamily,
     GaussianKernel,
     LinearKernel,
     PolynomialKernel,
+    RankOnePencil,
     SymMatrix,
     gram_matrix,
-    jacobi_eigen,
     psd_sqrt,
     spectral_abs_max,
+    sym_eigen,
 )
 
 
@@ -32,10 +34,10 @@ def test_sym_matrix_validation():
 
 
 def test_jacobi_identity_and_diagonal():
-    vals, vecs = jacobi_eigen(np.eye(3))
+    vals, vecs = sym_eigen(np.eye(3))
     np.testing.assert_allclose(vals, [1.0, 1.0, 1.0])
     np.testing.assert_allclose(vecs, np.eye(3))
-    vals, vecs = jacobi_eigen(np.diag([3.0, 1.0, 2.0]))
+    vals, vecs = sym_eigen(np.diag([3.0, 1.0, 2.0]))
     np.testing.assert_allclose(vals, [3.0, 2.0, 1.0])
     # columns are the standard basis vectors matching the sort order
     np.testing.assert_allclose(vecs[:, 0], [1.0, 0.0, 0.0])
@@ -45,11 +47,11 @@ def test_jacobi_identity_and_diagonal():
 
 def test_jacobi_2x2_hand_values():
     # characteristic polynomial of [[0,1],[1,0]] is t^2 - 1 -> eigenvalues 1, -1
-    vals, vecs = jacobi_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    vals, vecs = sym_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
     np.testing.assert_allclose(vals, [1.0, -1.0], atol=1e-12)
     np.testing.assert_allclose(np.abs(vecs), np.full((2, 2), np.sqrt(0.5)), atol=1e-12)
     # [[2,1],[1,2]]: t^2 - 4t + 3 -> 3 and 1
-    vals, _ = jacobi_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    vals, _ = sym_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
     np.testing.assert_allclose(vals, [3.0, 1.0], atol=1e-12)
 
 
@@ -57,7 +59,7 @@ def test_jacobi_reconstruction_and_residual():
     rng = np.random.default_rng(42)
     for n in (1, 2, 3, 5, 8, 16, 40):
         a = random_symmetric(rng, n, scale=rng.uniform(0.5, 5.0))
-        vals, vecs = jacobi_eigen(a)
+        vals, vecs = sym_eigen(a)
         norm = np.linalg.norm(a)
         assert np.all(np.diff(vals) <= 1e-12)
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(n), atol=1e-9)
@@ -71,7 +73,7 @@ def test_jacobi_matches_library_eigenvalues():
     for _ in range(25):
         n = int(rng.integers(2, 12))
         a = random_symmetric(rng, n, scale=3.0)
-        vals, _ = jacobi_eigen(a)
+        vals, _ = sym_eigen(a)
         ref = np.sort(np.linalg.eigvalsh(a))[::-1]
         np.testing.assert_allclose(vals, ref, atol=1e-9 * (1 + np.linalg.norm(a)))
 
@@ -79,8 +81,8 @@ def test_jacobi_matches_library_eigenvalues():
 def test_jacobi_sign_convention_deterministic():
     rng = np.random.default_rng(5)
     a = random_symmetric(rng, 6)
-    _, v1 = jacobi_eigen(a)
-    _, v2 = jacobi_eigen(a.copy())
+    _, v1 = sym_eigen(a)
+    _, v2 = sym_eigen(a.copy())
     np.testing.assert_array_equal(v1, v2)
     for j in range(v1.shape[1]):
         lead = np.nonzero(np.abs(v1[:, j]) > 1e-12)[0][0]
@@ -169,14 +171,82 @@ def test_kernel_validation():
 
 
 def test_affine_family_evaluate():
-    fam = AffineMatrixFamily(np.eye(2), (np.diag([1.0, 0.0]),))
+    # the single term diag(1, 0) is the rank-one outer((1, 0), (1, 0))
+    fam = RankOnePencil(np.eye(2), np.array([[1.0, 0.0]]))
     np.testing.assert_allclose(fam.evaluate([0.5]).data, np.diag([0.5, 1.0]))
     assert fam.order == 2 and fam.n_terms == 1
-    base, stack = fam.stacked()
-    assert stack.shape == (1, 2, 2)
-    with pytest.raises(ValueError):
-        AffineMatrixFamily(np.eye(2), ())
-    with pytest.raises(ValueError):
-        AffineMatrixFamily(np.eye(2), (np.eye(3),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one term"):
+        RankOnePencil(np.eye(2), np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="share the base matrix order"):
+        RankOnePencil(np.eye(2), np.ones((1, 3)))
+    with pytest.raises(ValueError, match="align with the terms"):
         fam.evaluate([0.5, 0.5])
+
+
+# --------------------------------------------------------------------------
+# property-based checks
+# --------------------------------------------------------------------------
+
+SCALES = st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6])
+
+
+@st.composite
+def repeated_spectrum_matrices(draw):
+    """Q diag(lam) Q' with eigenvalues drawn from a few integers, so repeats are common."""
+    n = draw(st.integers(1, 7))
+    lam = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), dtype=float)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return draw(SCALES) * (q * lam) @ q.T
+
+
+@st.composite
+def signed_zero_matrices(draw):
+    """Symmetric matrices whose entries are mostly +0.0 and -0.0."""
+    n = draw(st.integers(1, 7))
+    entries = st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.5])
+    upper = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    a = np.triu(upper) + np.triu(upper, 1).T
+    return draw(SCALES) * a
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(repeated_spectrum_matrices(), signed_zero_matrices()))
+def test_sym_eigen_contract_properties(a):
+    n = a.shape[0]
+    vals, vecs = sym_eigen(a)
+    norm = np.linalg.norm(a)
+    assert np.all(np.diff(vals) <= 0.0)
+    np.testing.assert_allclose(vals, np.sort(np.linalg.eigvalsh(a))[::-1], atol=1e-12 * norm)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(n), atol=1e-9)
+    np.testing.assert_allclose((vecs * vals) @ vecs.T, a, atol=1e-9 * norm)
+    for j in range(n):
+        lead = np.nonzero(np.abs(vecs[:, j]) > 1e-12)[0][0]
+        assert vecs[lead, j] > 0
+    again_vals, again_vecs = sym_eigen(a.copy())
+    np.testing.assert_array_equal(again_vals, vals)
+    np.testing.assert_array_equal(again_vecs, vecs)
+
+
+@st.composite
+def pencils_and_weights(draw):
+    order = draw(st.integers(1, 6))
+    n_terms = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(SCALES)
+    base = random_symmetric(rng, order, scale=scale**2)
+    factor = scale * rng.normal(size=(n_terms, order))
+    z = rng.dirichlet(np.ones(n_terms))
+    return base, factor, z
+
+
+@settings(max_examples=150, deadline=None)
+@given(pencils_and_weights())
+def test_rank_one_pencil_matches_stacked_terms(case):
+    base, factor, z = case
+    expected = base.copy()
+    for zk, fk in zip(z, factor):
+        expected -= zk * np.outer(fk, fk)
+    got = RankOnePencil(base, factor).evaluate(z).data
+    size = np.linalg.norm(base) + float(z @ np.sum(factor * factor, axis=1))
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13 * size)

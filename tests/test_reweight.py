@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from discrep.cli import main
 from discrep.core import SimplexVector, WeightedEmpirical, point_key
 from discrep.distance import disc_01_threshold1d, disc_l2_linear, moment_gap_matrix
 from discrep.linalg import GaussianKernel, gram_matrix, spectral_abs_max
@@ -19,6 +20,7 @@ from discrep.reweight import (
     minimize_l2_kernel,
     minimize_l2_linear,
 )
+from discrep.sample_io import write_sample_csv
 
 from_points = WeightedEmpirical.from_points
 
@@ -374,3 +376,23 @@ def test_reweight_result_invariant():
             achieved_disc=0.1,
             lower_bound=0.5,
         )
+
+
+def large_scale_pair(seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(0.0, 1e4, (1, 3)), rng.normal(0.0, 1e4, (5, 3))
+
+
+def test_lower_bound_tolerance_is_relative_at_large_scale(tmp_path, capsys):
+    # With one reweightable point the lower bound equals the achieved value up
+    # to rounding, which at coordinate scale 1e4 exceeds any absolute 1e-9.
+    for seed in range(10):
+        xq, xp = large_scale_pair(seed)
+        res = minimize_l2_linear(from_points(xq), from_points(xp))
+        assert res.lower_bound == pytest.approx(res.achieved_disc, rel=1e-9)
+    xq, xp = large_scale_pair(1)
+    write_sample_csv(tmp_path / "src.csv", xq)
+    write_sample_csv(tmp_path / "tgt.csv", xp)
+    code = main(["minimize", "--loss", "l2", str(tmp_path / "src.csv"), str(tmp_path / "tgt.csv")])
+    capsys.readouterr()
+    assert code == 0
