@@ -282,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     minimize.add_argument("source")
     minimize.add_argument("target")
     minimize.add_argument("--loss", choices=("zeroone", "l2"), required=True)
-    minimize.add_argument("--dim", type=int, default=1, help="affirms the 0-1 route is 1-d")
     minimize.add_argument(
         "--hypothesis", choices=("threshold1d", "linear", "kernel"), default="linear"
     )

@@ -11,7 +11,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -39,13 +40,35 @@ def point_key(vec) -> tuple:
     return tuple(float(c) for c in np.atleast_1d(vec))
 
 
+def _unique_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows by the identity rule of :class:`WeightedEmpirical`.
+
+    Returns ``(first, inverse)``: the ascending rows where each distinct point
+    first occurs, and for every row the position of its point in ``first``.
+    """
+    # adding 0.0 turns -0.0 into 0.0, so equal points have equal bytes; rows
+    # without coordinates get one zero coordinate and are all one point
+    rows = np.zeros((points.shape[0], max(points.shape[1], 1)))
+    np.add(points, 0.0, out=rows[:, : points.shape[1]])
+    row_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    # numpy sorts one float column faster than bytes; either order groups equal rows
+    order = np.argsort(rows[:, 0] if rows.shape[1] == 1 else row_bytes, kind="stable")
+    ranked = row_bytes[order]
+    starts = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    head = np.empty_like(order)  # each row's first occurrence: the sort is stable
+    head[order] = order[starts][np.cumsum(starts) - 1]
+    is_first = head == np.arange(head.size)
+    return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[head]
+
+
 @dataclass(frozen=True)
 class WeightedEmpirical:
     """A finitely supported probability distribution: distinct points plus weights.
 
-    Construct through :func:`merge_duplicates` (or ``from_points``) when the raw
-    input may contain repeated points or unnormalized weights; the constructor
-    itself only validates.
+    Two points are the same point when every coordinate is exactly equal, with
+    0.0 == -0.0. Construct through :func:`merge_duplicates` (or ``from_points``)
+    when the raw input may contain repeated points or unnormalized weights;
+    the constructor itself only validates.
     """
 
     points: np.ndarray
@@ -64,13 +87,16 @@ class WeightedEmpirical:
             raise ValueError(f"weights must sum to 1 within {WEIGHT_TOL}, got {wts.sum()!r}")
         if pts.shape[0] == 0:
             raise ValueError("empty support")
-        keys = [point_key(p) for p in pts]
-        if len(set(keys)) != len(keys):
+        if _unique_rows(pts)[0].size != pts.shape[0]:
             raise ValueError("support points must be pairwise distinct; merge duplicates first")
         wts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
-        object.__setattr__(self, "_mass", dict(zip(keys, wts.tolist())))
+
+    @cached_property
+    def _mass(self) -> dict:
+        # tuple(row.tolist()) is point_key(row), built without a per-row numpy call
+        return dict(zip(map(tuple, self.points.tolist()), self.weights.tolist()))
 
     @property
     def dim(self) -> int:
@@ -102,8 +128,10 @@ class WeightedEmpirical:
 def merge_duplicates(points, weights) -> WeightedEmpirical:
     """Merge repeated points by summing their weights, then renormalize.
 
-    Keeps first-occurrence order. Raises on empty input, negative weights, or
-    an all-zero weight vector.
+    Rows that are the same point (see :class:`WeightedEmpirical`) merge into
+    one. Keeps first-occurrence order, and the first occurrence's row, with
+    its sign of zero, represents the point. Raises on empty input, negative
+    weights, or an all-zero weight vector.
     """
     pts = as_point_array(points)
     wts = np.asarray(weights, dtype=float)
@@ -118,19 +146,10 @@ def merge_duplicates(points, weights) -> WeightedEmpirical:
     total = float(wts.sum())
     if total <= 0.0:
         raise ValueError("weights sum to zero; a distribution needs positive total mass")
-    order: dict[tuple, int] = {}
-    merged: list[float] = []
-    rows: list[np.ndarray] = []
-    for row, w in zip(pts, wts):
-        k = point_key(row)
-        if k in order:
-            merged[order[k]] += float(w)
-        else:
-            order[k] = len(rows)
-            rows.append(np.asarray(row, dtype=float))
-            merged.append(float(w))
-    out_w = np.asarray(merged, dtype=float) / total
-    return WeightedEmpirical(np.vstack(rows), out_w)
+    first, inverse = _unique_rows(pts)
+    # a running sum per point in row order; np.sum's pairwise order rounds differently
+    merged = np.bincount(inverse, weights=wts, minlength=first.size)
+    return WeightedEmpirical(pts[first], merged / total)
 
 
 @dataclass(frozen=True)

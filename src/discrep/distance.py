@@ -22,6 +22,7 @@ from .core import (
     LinearBounded,
     Threshold1D,
     WeightedEmpirical,
+    _unique_rows,
     point_key,
 )
 from .linalg import MatrixLike, SymMatrix, psd_sqrt, spectral_abs_max
@@ -75,19 +76,13 @@ def joint_support(q: WeightedEmpirical, p: WeightedEmpirical):
     """
     if q.dim != p.dim:
         raise ValueError("dimension mismatch between distributions")
-    rows = [np.asarray(r, dtype=float) for r in q.points]
-    keys = q.keys()
-    seen = set(keys)
-    for r in p.points:
-        k = point_key(r)
-        if k not in seen:
-            seen.add(k)
-            keys.append(k)
-            rows.append(np.asarray(r, dtype=float))
-    pts = np.vstack(rows)
-    qm = np.array([q.mass(k) for k in keys])
-    pm = np.array([p.mass(k) for k in keys])
-    return pts, qm, pm
+    both = np.vstack([q.points, p.points])
+    first, inverse = _unique_rows(both)
+    qm = np.zeros(first.size)
+    qm[inverse[: q.size]] = q.weights
+    pm = np.zeros(first.size)
+    pm[inverse[q.size :]] = p.weights
+    return both[first], qm, pm
 
 
 def l1_distance(q: WeightedEmpirical, p: WeightedEmpirical) -> float:

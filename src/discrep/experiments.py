@@ -16,14 +16,13 @@ trial can be reproduced in isolation; output rows are sorted before emission.
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import datagen
-from .core import LabeledSample, SimplexVector, WeightedEmpirical, as_point_array, point_key
+from .core import LabeledSample, SimplexVector, WeightedEmpirical, _unique_rows, as_point_array
 from .learners import (
     train_weighted_ridge,
     train_weighted_threshold,
@@ -136,13 +135,14 @@ def per_example_weights(
     sample reproduces the weighted distribution exactly.
     """
     pts = as_point_array(points)
-    keys = [point_key(row) for row in pts]
-    counts = Counter(keys)
-    index = {key: i for i, key in enumerate(support.keys())}
-    if set(keys) != set(index):
+    if pts.shape[1] != support.dim:
         raise ValueError("support does not match the sample points")
-    raw = np.array([support_weights.entries[index[k]] / counts[k] for k in keys])
-    return SimplexVector.normalized(raw)
+    first, inverse = _unique_rows(np.vstack([support.points, pts]))
+    atom = inverse[support.size :]
+    counts = np.bincount(atom, minlength=first.size)
+    if first.size != support.size or not counts.all():
+        raise ValueError("support does not match the sample points")
+    return SimplexVector.normalized(support_weights.entries[atom] / counts[atom])
 
 
 def summarize_rows(rows: Sequence[TrialRow], cfg: ExperimentConfig) -> tuple:

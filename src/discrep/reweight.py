@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SimplexVector, WeightedEmpirical, point_key
+from .core import SimplexVector, WeightedEmpirical
 from .distance import disc_01_threshold1d, joint_support
 from .linalg import RankOnePencil, SymMatrix, psd_sqrt, spectral_abs_max, sym_eigen
 from .simplex_lp import solve_lp
@@ -82,34 +82,24 @@ def minimize_1d(q: WeightedEmpirical, p: WeightedEmpirical) -> ReweightResult:
     """
     if q.dim != 1 or p.dim != 1:
         raise ValueError("minimize_1d needs 1-d supports")
-    xs_q = np.array([r[0] for r in q.points])
-    order = np.argsort(xs_q, kind="stable")
-    s = xs_q[order]
+    order = np.argsort(q.points[:, 0], kind="stable")
+    s = q.points[order, 0]
     m0 = s.shape[0]
-    gaps = np.zeros(m0)
-    left_mass = 0.0
-    interior_open = np.zeros(max(m0 - 1, 0))
-    right_open = 0.0
-    for row, w in zip(p.points, p.weights):
-        x = float(row[0])
-        idx = int(np.searchsorted(s, x, side="right")) - 1
-        if idx < 0:
-            left_mass += w
-            gaps[0] += w
-            continue
-        gaps[idx] += w
-        if x > s[idx]:
-            if idx == m0 - 1:
-                right_open += w
-            else:
-                interior_open[idx] += w
-    scattered = np.zeros(m0)
-    scattered[order] = gaps
-    weights = SimplexVector.normalized(scattered)
+    xs = p.points[:, 0]
+    idx = np.searchsorted(s, xs, side="right") - 1
+    at = np.maximum(idx, 0)  # mass left of every point is folded into the smallest
+    gaps = np.bincount(order[at], weights=p.weights, minlength=m0)
+    # mass off the points: bins 0..m0-2 are the open gaps between sorted
+    # points, m0-1 the open ray to the right, m0 the mass left of them all
+    left = idx < 0
+    outside = left | (xs > s[at])
+    bins = np.where(left, m0, idx)[outside]
+    open_mass = np.bincount(bins, weights=p.weights[outside], minlength=m0 + 1)
+    interior_open, right_open, left_mass = open_mass[: m0 - 1], open_mass[m0 - 1], open_mass[m0]
+    weights = SimplexVector.normalized(gaps)
     reweighted = WeightedEmpirical(q.points, weights.entries)
     achieved = disc_01_threshold1d(reweighted, p).value
-    interior_best = float(interior_open.max()) if interior_open.size else 0.0
-    lower = max(interior_best, left_mass + right_open)
+    lower = max(interior_open.max(initial=0.0), left_mass + right_open)
     warnings = (LEFT_MASS_WARNING,) if left_mass > 0 else ()
     return ReweightResult(
         weights=weights,
@@ -132,10 +122,7 @@ def canonical_regions_1d(q: WeightedEmpirical, p: WeightedEmpirical) -> tuple:
     """
     if q.dim != 1 or p.dim != 1:
         raise ValueError("canonical regions are generated for 1-d supports only")
-    pts, _, _ = joint_support(q, p)
-    xs = pts[:, 0]
-    idx = np.argsort(xs, kind="stable")
-    keys = [point_key(pts[i]) for i in idx]
+    keys = sorted(set(q.keys()) | set(p.keys()))  # the joint support, left to right
     k = len(keys)
     all_keys = frozenset(keys)
     regions: list[frozenset] = []
@@ -160,9 +147,8 @@ def minimize_01_lp(q: WeightedEmpirical, p: WeightedEmpirical, regions) -> Rewei
     regions = tuple(regions)
     if not regions:
         raise ValueError("need at least one region")
-    pts, _, _ = joint_support(q, p)
-    support_keys = {point_key(r) for r in pts}
     q_keys = q.keys()
+    support_keys = set(q_keys) | set(p.keys())
     m0 = len(q_keys)
     mass_range: dict[tuple, list[float]] = {}
     lower = 0.0

@@ -72,6 +72,9 @@ def test_minimize_zeroone_json(capsys, pair_1d):
     assert set(payload) == {"weights", "achieved_disc", "lower_bound", "converged", "warnings"}
     assert payload["achieved_disc"] == pytest.approx(0.5)
     assert sum(payload["weights"]) == pytest.approx(1.0)
+    with pytest.raises(SystemExit) as exc:  # no --dim flag: the route reads the files' dimension
+        main(["minimize", "--loss", "zeroone", "--dim", "2", *pair_1d])
+    assert exc.value.code == 2
 
 
 def test_minimize_l2_json_and_convergence_exit(capsys, pair_2d):

@@ -60,6 +60,15 @@ def test_per_example_weights_split_duplicates():
     assert w.entries == pytest.approx([0.5, 0.2, 0.2, 0.1])
     with pytest.raises(ValueError, match="does not match"):
         per_example_weights(np.array([[9.0]]), SimplexVector(np.ones(1)), support)
+    # a support point missing from the sample, and a sample of another dimension
+    with pytest.raises(ValueError, match="does not match"):
+        per_example_weights(np.array([[0.0], [1.0]]), support_weights, support)
+    with pytest.raises(ValueError, match="does not match"):
+        per_example_weights(np.array([[0.0, 1.0]]), support_weights, support)
+    # sample rows in another order than the support
+    shuffled = np.array([[2.0], [1.0], [0.0], [1.0]])
+    w = per_example_weights(shuffled, support_weights, support)
+    assert w.entries == pytest.approx([0.1, 0.2, 0.5, 0.2])
 
 
 def test_summarize_rows_and_record_invariants():
