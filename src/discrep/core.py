@@ -75,8 +75,24 @@ class WeightedEmpirical:
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = as_point_array(self.points)
-        wts = np.array(self.weights, dtype=float)
+        self._store(self.points, self.weights)
+        if _unique_rows(self.points)[0].size != self.size:
+            raise ValueError("support points must be pairwise distinct; merge duplicates first")
+
+    @classmethod
+    def _of_distinct(cls, points, weights) -> "WeightedEmpirical":
+        """Build from rows already known to be distinct points.
+
+        Runs every check of the constructor but the distinctness check, which
+        would group the rows a second time.
+        """
+        dist = cls.__new__(cls)
+        dist._store(points, weights)
+        return dist
+
+    def _store(self, points, weights) -> None:
+        pts = as_point_array(points)
+        wts = np.array(weights, dtype=float)
         if wts.ndim != 1 or wts.shape[0] != pts.shape[0]:
             raise ValueError("weights must align one-to-one with points")
         if not np.isfinite(wts).all():
@@ -87,8 +103,6 @@ class WeightedEmpirical:
             raise ValueError(f"weights must sum to 1 within {WEIGHT_TOL}, got {wts.sum()!r}")
         if pts.shape[0] == 0:
             raise ValueError("empty support")
-        if _unique_rows(pts)[0].size != pts.shape[0]:
-            raise ValueError("support points must be pairwise distinct; merge duplicates first")
         wts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
@@ -149,7 +163,7 @@ def merge_duplicates(points, weights) -> WeightedEmpirical:
     first, inverse = _unique_rows(pts)
     # a running sum per point in row order; np.sum's pairwise order rounds differently
     merged = np.bincount(inverse, weights=wts, minlength=first.size)
-    return WeightedEmpirical(pts[first], merged / total)
+    return WeightedEmpirical._of_distinct(pts[first], merged / total)
 
 
 @dataclass(frozen=True)

@@ -97,12 +97,26 @@ def l1_distance(q: WeightedEmpirical, p: WeightedEmpirical) -> float:
 
 
 def _sorted_support_1d(q: WeightedEmpirical, p: WeightedEmpirical):
+    """The joint support in ascending order, with its q and p masses.
+
+    Equal values (0.0 == -0.0) are one point, represented by its first
+    occurrence with q's points first, as in :func:`joint_support`.
+    """
     if q.dim != 1 or p.dim != 1:
         raise ValueError("threshold-class distances need 1-d supports")
-    pts, qm, pm = joint_support(q, p)
-    xs = pts[:, 0]
-    order = np.argsort(xs, kind="stable")
-    return xs[order], qm[order], pm[order]
+    both = np.concatenate([q.points[:, 0], p.points[:, 0]])
+    # one stable sort orders the support and groups equal values (the sort and
+    # != both treat -0.0 as 0.0); a group's first row is its first occurrence
+    order = np.argsort(both, kind="stable")
+    ranked = both[order]
+    starts = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    point = np.empty_like(order)
+    point[order] = np.cumsum(starts) - 1
+    qm = np.zeros(int(starts.sum()))
+    qm[point[: q.size]] = q.weights
+    pm = np.zeros(qm.size)
+    pm[point[q.size :]] = p.weights
+    return both[order[starts]], qm, pm
 
 
 def disc_01_threshold1d(q: WeightedEmpirical, p: WeightedEmpirical) -> DiscrepancyResult:

@@ -97,7 +97,7 @@ def minimize_1d(q: WeightedEmpirical, p: WeightedEmpirical) -> ReweightResult:
     open_mass = np.bincount(bins, weights=p.weights[outside], minlength=m0 + 1)
     interior_open, right_open, left_mass = open_mass[: m0 - 1], open_mass[m0 - 1], open_mass[m0]
     weights = SimplexVector.normalized(gaps)
-    reweighted = WeightedEmpirical(q.points, weights.entries)
+    reweighted = WeightedEmpirical._of_distinct(q.points, weights.entries)
     achieved = disc_01_threshold1d(reweighted, p).value
     lower = max(interior_open.max(initial=0.0), left_mass + right_open)
     warnings = (LEFT_MASS_WARNING,) if left_mass > 0 else ()
@@ -143,6 +143,8 @@ def minimize_01_lp(q: WeightedEmpirical, p: WeightedEmpirical, regions) -> Rewei
     to the simplex. Regions that restrict to the same subset of reweightable
     points differ only in their target mass, so each such group contributes
     just its tightest pair of rows (smallest mass above, largest below).
+    When several weight vectors reach the optimal gap, the weights returned
+    are one optimal vertex of the LP; which one is not part of the contract.
     """
     regions = tuple(regions)
     if not regions:

@@ -1,6 +1,8 @@
-"""Tests for the dense two-phase simplex solver."""
+"""Tests for the dense simplex solver, which works on the dual tableau."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from discrep.simplex_lp import LPResult, solve_lp
@@ -121,3 +123,89 @@ def test_random_discrepancy_shaped_instances_match_scipy():
         assert ref.status == 0
         res = solve_lp(c, a, b)
         assert res.objective == pytest.approx(ref.fun, abs=1e-8)
+
+
+def test_primal_and_dual_both_infeasible_raises_infeasible():
+    # min -x1 - x2 s.t. x1 - x2 <= -1 and -x1 + x2 <= -1: the rows sum to 0 <= -2,
+    # and the dual, -w1 + w2 <= -1 and w1 - w2 <= -1, is infeasible as well.
+    with pytest.raises(ValueError, match="LP is infeasible"):
+        solve_lp(c=[-1.0, -1.0], a_ub=[[1.0, -1.0], [-1.0, 1.0]], b_ub=[-1.0, -1.0])
+
+
+def test_iteration_cap_limits_the_dual_solve():
+    # c >= 0, so the dual starts feasible and only its phase 2 runs.
+    # Variables (z1, z2, t): |z1 - 0.3| <= t, |z2 - 0.7| <= t, z1 + z2 = 1.
+    c = [0.0, 0.0, 1.0]
+    a_ub = [
+        [1.0, 0.0, -1.0], [-1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [0.0, -1.0, -1.0],
+        [1.0, 1.0, 0.0], [-1.0, -1.0, 0.0],
+    ]
+    b_ub = [0.3, -0.3, 0.7, -0.7, 1.0, -1.0]
+    with pytest.raises(ArithmeticError, match="iteration cap"):
+        solve_lp(c, a_ub, b_ub, max_iters=1)
+    res = solve_lp(c, a_ub, b_ub)
+    assert res.x == pytest.approx([0.3, 0.7, 0.0], abs=1e-12)
+    assert res.objective == pytest.approx(0.0, abs=1e-12)
+
+
+ENTRIES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def tall_lps(draw):
+    """LPs with many more rows than columns, built from a few base rows plus
+    duplicates, zero rows and sign-flipped rows (equalities where both are tight), over
+    small dyadic entries. Half the programs place every right-hand side at or
+    just above its row's value at a point ``x0 >= 0``, so they are feasible,
+    and the many rows tight at ``x0`` make it a degenerate vertex. The other
+    half draw right-hand sides freely and are mostly infeasible."""
+    n = draw(st.integers(1, 5))
+    x0 = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=n, max_size=n)))
+    anchored = draw(st.booleans())
+
+    def placed(row, value):
+        if anchored:
+            return row, float(np.dot(row, x0)) + draw(st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0]))
+        return row, value
+
+    def new_row():
+        return placed(draw(st.lists(ENTRIES, min_size=n, max_size=n)), draw(ENTRIES))
+
+    rows, rhs = map(list, zip(*[new_row() for _ in range(draw(st.integers(1, 6)))]))
+    for _ in range(draw(st.integers(3 * n, 8 * n + 10))):
+        kind = draw(st.sampled_from(["duplicate", "flip", "zero", "new"]))
+        i = draw(st.integers(0, len(rows) - 1))
+        if kind == "duplicate":
+            row, value = rows[i], rhs[i]
+        elif kind == "flip":
+            row, value = placed([-v for v in rows[i]], -rhs[i])
+        elif kind == "zero":
+            row, value = [0.0] * n, draw(st.sampled_from([0.0, 1.0]))
+        else:
+            row, value = new_row()
+        rows.append(row)
+        rhs.append(value)
+    order = draw(st.permutations(range(len(rows))))
+    c = draw(st.lists(ENTRIES, min_size=n, max_size=n))
+    return np.array(c), np.array(rows)[order], np.array(rhs)[order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tall_lps())
+def test_tall_lps_match_highs(lp):
+    c, a, b = lp
+    ref = linprog(c, A_ub=a, b_ub=b, bounds=(0, None), method="highs")
+    assert ref.status in (0, 2, 3)
+    if ref.status != 0:
+        # A zero-cost program cannot be unbounded, so HiGHS's verdict on it
+        # tells an infeasible program from an unbounded one.
+        feasible = linprog(np.zeros_like(c), A_ub=a, b_ub=b, bounds=(0, None), method="highs")
+        assert feasible.status in (0, 2)
+        verdict = "infeasible" if feasible.status == 2 else "unbounded"
+        with pytest.raises(ValueError, match=f"LP is {verdict}"):
+            solve_lp(c, a, b)
+        return
+    res = solve_lp(c, a, b)
+    assert res.objective == pytest.approx(ref.fun, rel=0.0, abs=1e-9)
+    assert np.all(res.x >= 0.0)
+    assert np.all(a @ res.x <= b + 1e-9)

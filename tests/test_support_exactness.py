@@ -2,18 +2,19 @@
 
 The oracles below are the row-by-row implementations, keying every point with
 ``point_key``, of ``merge_duplicates``, ``joint_support``, ``minimize_1d``,
-``per_example_weights`` and ``canonical_regions_1d``. The properties require
-exact equality: the same points (sign bits of zeros included), weights,
-order, values and warnings.
+``per_example_weights`` and ``canonical_regions_1d``, and the two-sort version
+of the sorted 1-d support behind ``disc_01_threshold1d``. The properties
+require exact equality: the same points (sign bits of zeros included),
+weights, order, values and warnings.
 """
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from discrep import distance
+from discrep import core, distance
 from discrep.core import SimplexVector, WeightedEmpirical, merge_duplicates, point_key
 from discrep.distance import disc_01_threshold1d, joint_support
 from discrep.experiments import per_example_weights
@@ -65,11 +66,22 @@ def loop_joint_support(q, p):
     return np.vstack(rows), qm, pm
 
 
+def argsort_sorted_support_1d(q, p):
+    """The joint support argsorted by value: a second sort after the grouping one."""
+    if q.dim != 1 or p.dim != 1:
+        raise ValueError("threshold-class distances need 1-d supports")
+    pts, qm, pm = distance.joint_support(q, p)
+    xs = pts[:, 0]
+    order = np.argsort(xs, kind="stable")
+    return xs[order], qm[order], pm[order]
+
+
 def loop_minimize_1d(q, p):
     """(weights, achieved_disc, lower_bound, warnings) by one search per target point.
 
-    The achieved value is measured with ``loop_joint_support`` in place of the
-    array-backed one, so no part of the result goes through the new layer.
+    The achieved value is measured on ``argsort_sorted_support_1d`` over
+    ``loop_joint_support`` in place of the array-backed support, so no part of
+    the result goes through the new layer.
     """
     xs_q = np.array([r[0] for r in q.points])
     order = np.argsort(xs_q, kind="stable")
@@ -95,7 +107,9 @@ def loop_minimize_1d(q, p):
     scattered = np.zeros(m0)
     scattered[order] = gaps
     weights = SimplexVector.normalized(scattered)
-    with mock.patch.object(distance, "joint_support", loop_joint_support):
+    with mock.patch.object(distance, "joint_support", loop_joint_support), mock.patch.object(
+        distance, "_sorted_support_1d", argsort_sorted_support_1d
+    ):
         achieved = disc_01_threshold1d(WeightedEmpirical(q.points, weights.entries), p).value
     interior_best = float(interior_open.max()) if interior_open.size else 0.0
     lower = max(interior_best, left_mass + right_open)
@@ -256,6 +270,64 @@ def test_per_example_weights_matches_loop_bitwise(sample, data):
         return
     got = per_example_weights(sample_rows, support_weights, support)
     assert_same_bits(got.entries, want)
+
+
+# 37 support values with -0.0 in q and 0.0 in p: long enough that numpy's
+# unstable sort puts p's zero first
+_Q_LONG = [-1.25, -1.75, 2.25, -4.25, -0.0, -4.75, 0.75, 1.75, 0.25, -3.75, 1.0, -0.75, 3.75,
+           -1.0, 2.75, 4.0]
+_P_LONG = [-1.25, 1.25, 3.75, -2.5, 0.0, 2.0, 4.5, 3.0, -3.75, 3.5, 2.5, 5.0, 3.25, -4.25,
+           -3.25, -2.0, -0.75, -5.0, 4.75, -4.0, -1.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(distribution_pairs(dims=st.just(1)))
+@example((WeightedEmpirical.from_points(_Q_LONG), WeightedEmpirical.from_points(_P_LONG)))
+def test_sorted_support_1d_matches_argsort_oracle_bitwise(pair):
+    q, p = pair
+    for got, want in zip(distance._sorted_support_1d(q, p), argsort_sorted_support_1d(q, p)):
+        assert_same_bits(got, want)
+    got = disc_01_threshold1d(q, p)
+    with mock.patch.object(distance, "_sorted_support_1d", argsort_sorted_support_1d):
+        want = disc_01_threshold1d(q, p)
+    for g, w in [(got.value, want.value), (got.witness.lo, want.witness.lo),
+                 (got.witness.hi, want.witness.hi)]:
+        assert_same_bits(np.float64(g), np.float64(w))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[[1.0], [2.0], [1.0]], [[0.0], [-0.0], [3.0]], [[1.0, -0.0], [2.0, 0.0], [1.0, 0.0]]],
+)
+def test_support_rows_are_grouped_once(points):
+    """``merge_duplicates`` groups its rows once; ``minimize_1d`` never regroups."""
+    weights = np.full(len(points), 1.0 / len(points))
+    with mock.patch.object(core, "_unique_rows", wraps=core._unique_rows) as grouped:
+        merged = merge_duplicates(points, weights)
+    assert grouped.call_count == 1
+    assert_same_bits(merged.points, loop_merge_duplicates(points, weights)[0])
+    if merged.dim == 1:
+        p = merge_duplicates([[0.5], [2.0], [-1.0]], [1.0, 1.0, 1.0])
+        with mock.patch.object(core, "_unique_rows") as core_grouped, mock.patch.object(
+            distance, "_unique_rows"
+        ) as distance_grouped:
+            minimize_1d(merged, p)
+        assert core_grouped.call_count == distance_grouped.call_count == 0
+
+
+def test_constructor_still_rejects_duplicate_rows():
+    dist = merge_duplicates([[1.0, 2.0], [-0.0, 1.0], [3.0, 2.0]], [1.0, 1.0, 1.0])
+    duplicated = [
+        dist.points[[0, 1, 0]],
+        np.array([[0.0, 1.0], [-0.0, 1.0], [3.0, 2.0]]),
+        np.array([[0.0], [-0.0], [1.0]]),
+    ]
+    for points in duplicated:
+        with pytest.raises(ValueError, match="distinct"):
+            WeightedEmpirical(points, np.full(len(points), 1.0 / len(points)))
+    # the internal path for grouped rows skips that check only
+    with pytest.raises(ValueError, match="sum to 1"):
+        WeightedEmpirical._of_distinct(dist.points, np.array([0.5, 0.5, 0.5]))
 
 
 def test_oracles_on_a_worked_example():
