@@ -89,34 +89,44 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(max_iters=args.max_iters, tol=args.tol)
 
 
+def _hypothesis(args) -> str:
+    """--hypothesis, defaulted by --loss and checked against it."""
+    if args.hypothesis is None:
+        return "threshold1d" if args.loss == "zeroone" else "linear"
+    if args.loss == "zeroone" and args.hypothesis != "threshold1d":
+        raise ValueError("zero-one loss supports --hypothesis threshold1d only")
+    if args.loss == "l2" and args.hypothesis == "threshold1d":
+        raise ValueError("l2 loss supports --hypothesis linear or kernel")
+    return args.hypothesis
+
+
+def _joint_gram(q, p, args):
+    points, _, _ = joint_support(q, p)
+    return gram_matrix(points, parse_kernel(args.kernel))
+
+
 def _cmd_disc(args) -> int:
     q, p = _load_pair(args)
-    if args.loss == "zeroone":
-        if args.hypothesis != "threshold1d":
-            raise ValueError("zero-one discrepancy supports --hypothesis threshold1d only")
+    hypothesis = _hypothesis(args)
+    if hypothesis == "threshold1d":
         result = disc_01_threshold1d(q, p)
-    elif args.hypothesis == "linear":
-        result = disc_l2_linear(q, p)
-    elif args.hypothesis == "kernel":
-        kernel = parse_kernel(args.kernel)
-        points, _, _ = joint_support(q, p)
-        result = disc_l2_kernel(q, p, gram_matrix(points, kernel))
+    elif hypothesis == "kernel":
+        result = disc_l2_kernel(q, p, _joint_gram(q, p, args))
     else:
-        raise ValueError("l2 discrepancy supports --hypothesis linear or kernel")
+        result = disc_l2_linear(q, p)
     _emit({"value": result.value, "witness": _witness_json(result.witness)})
     return EXIT_OK
 
 
 def _cmd_minimize(args) -> int:
     q, p = _load_pair(args)
-    if args.loss == "zeroone":
+    hypothesis = _hypothesis(args)
+    if hypothesis == "threshold1d":
         if q.dim != 1:
             raise ValueError("zero-one minimization supports 1-d samples only")
         result = minimize_1d(q, p)
-    elif args.hypothesis == "kernel":
-        kernel = parse_kernel(args.kernel)
-        points, _, _ = joint_support(q, p)
-        result = minimize_l2_kernel(q, p, gram_matrix(points, kernel), _solver_config(args))
+    elif hypothesis == "kernel":
+        result = minimize_l2_kernel(q, p, _joint_gram(q, p, args), _solver_config(args))
     else:
         result = minimize_l2_linear(q, p, _solver_config(args))
     _emit(
@@ -223,7 +233,6 @@ def _cmd_exp1(args) -> int:
         dim=1,
         seed=args.seed,
         trials=args.trials,
-        out_path=args.out,
     )
     record = run_experiment_1(cfg, m_values=_m_values(args))
     _emit_record(record, args.out)
@@ -239,7 +248,6 @@ def _cmd_exp2(args) -> int:
         seed=args.seed,
         trials=args.trials,
         lam=args.lam,
-        out_path=args.out,
     )
     solver = SolverConfig(max_iters=args.max_iters, eta0=EXP2_ETA0, tol=args.tol)
     record = run_experiment_2(cfg, m_values=_m_values(args), solver=solver)
@@ -247,9 +255,24 @@ def _cmd_exp2(args) -> int:
     return EXIT_OK
 
 
+def _add_pair_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("source")
+    parser.add_argument("target")
+    parser.add_argument("--loss", choices=("zeroone", "l2"), required=True)
+    parser.add_argument(
+        "--hypothesis",
+        choices=("threshold1d", "linear", "kernel"),
+        help="default: threshold1d for --loss zeroone, linear for --loss l2",
+    )
+    parser.add_argument("--kernel", default="linear")
+
+
 def _add_solver_flags(parser: argparse.ArgumentParser, default_iters: int = 2000) -> None:
     parser.add_argument("--max-iters", type=int, default=default_iters)
-    parser.add_argument("--tol", type=float, default=1e-6)
+    parser.add_argument(
+        "--tol", type=float, default=1e-6,
+        help="certified-gap and plateau threshold on the normalized objective",
+    )
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
@@ -269,23 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     disc = sub.add_parser("disc", help="discrepancy between two sample files")
-    disc.add_argument("source")
-    disc.add_argument("target")
-    disc.add_argument("--loss", choices=("zeroone", "l2"), required=True)
-    disc.add_argument(
-        "--hypothesis", choices=("threshold1d", "linear", "kernel"), default="linear"
-    )
-    disc.add_argument("--kernel", default="linear")
+    _add_pair_flags(disc)
     disc.set_defaults(func=_cmd_disc)
 
     minimize = sub.add_parser("minimize", help="reweight the source to minimize discrepancy")
-    minimize.add_argument("source")
-    minimize.add_argument("target")
-    minimize.add_argument("--loss", choices=("zeroone", "l2"), required=True)
-    minimize.add_argument(
-        "--hypothesis", choices=("threshold1d", "linear", "kernel"), default="linear"
-    )
-    minimize.add_argument("--kernel", default="linear")
+    _add_pair_flags(minimize)
     _add_solver_flags(minimize)
     minimize.set_defaults(func=_cmd_minimize)
 
@@ -312,8 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment_flags(exp2)
     exp2.add_argument("--n-dim", type=int, choices=(2, 16), default=2)
     exp2.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    exp2.add_argument("--max-iters", type=int, default=600)
-    exp2.add_argument("--tol", type=float, default=1e-6)
+    _add_solver_flags(exp2, default_iters=600)
     exp2.set_defaults(func=_cmd_exp2)
 
     return parser

@@ -52,7 +52,6 @@ class ExperimentConfig:
     seed: int = 0
     trials: int = 1
     lam: float = 0.1
-    out_path: Optional[str] = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_IDS:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import SimplexVector, WeightedEmpirical
 from .distance import disc_01_threshold1d, joint_support
-from .linalg import RankOnePencil, SymMatrix, psd_sqrt, spectral_abs_max, sym_eigen
+from .linalg import RankOnePencil, SymMatrix, psd_sqrt, spectral_abs_max
 from .simplex_lp import solve_lp
 
 STABILIZATION_WINDOW = 100
@@ -27,7 +27,8 @@ STABILIZATION_WINDOW = 100
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the first-order solvers (all deterministic)."""
+    """Knobs for the first-order solvers (all deterministic). ``tol`` is both
+    the certified-gap and the plateau threshold on the normalized objective."""
 
     max_iters: int = 2000
     eta0: float = 1.0
@@ -233,18 +234,26 @@ def _mirror_descent(family: RankOnePencil, cfg: SolverConfig):
     """Entropic mirror descent for F(z) = specmax(sum_k z_k f_k f_k' - B) on the
     simplex, where B is the pencil's base and f_k its term factors.
 
-    Runs the full iteration budget and returns
-    ``(z_best, f_best, per_iter_values, converged)`` where ``converged`` means
-    the best value improved by less than ``cfg.tol`` over the final
-    stabilization window. Subgradient methods plateau and recover, so an early
-    stop on a flat window would be premature; the window is only a postmortem.
+    Step t's subgradient comes from U_t = s_t u_t u_t', of unit trace norm, so
+    <U_t, M(z)> = grad_t . z - s_t u_t' B u_t is at most F(z). Its smallest
+    value over the simplex bounds min F from below, for the mean of the U_t
+    (an accuracy certificate: Nemirovski, Onn & Rothblum, 2010) and for U_t
+    alone, which is tightest, and taken, where the best value improves.
+
+    Returns ``(z_best, lower, per_iter_values, converged)``. The loop stops
+    once the best value is within ``cfg.tol`` of ``lower``, converged; else
+    ``converged`` means the best value moved by less than ``cfg.tol`` over the
+    final stabilization window, a postmortem only, as subgradient methods
+    plateau and recover.
     """
     base = family.base.data
     m0 = family.n_terms
     log_w = np.zeros(m0)
     best_val = np.inf
     best_z = np.full(m0, 1.0 / m0)
-    history: list[float] = []
+    grad_sum = np.zeros(m0)
+    offset_sum = 0.0
+    lower = 0.0
     trace: list[float] = []
     for t in range(1, cfg.max_iters + 1):
         shifted = log_w - log_w.max()
@@ -253,64 +262,39 @@ def _mirror_descent(family: RankOnePencil, cfg: SolverConfig):
         m = family.term_sum(z) - base
         val, u = spectral_abs_max(m)
         trace.append(float(val))
+        sign = 1.0 if float(u @ m @ u) >= 0.0 else -1.0
+        grad = sign * (family.factor @ u) ** 2
+        offset = float(grad @ z) - val
         if val < best_val:
             best_val = float(val)
             best_z = z
-        history.append(best_val)
-        sign = 1.0 if float(u @ m @ u) >= 0.0 else -1.0
-        grad = sign * (family.factor @ u) ** 2
+            lower = max(lower, grad.min() - offset)
+        grad_sum += grad
+        offset_sum += offset
+        lower = max(lower, (grad_sum.min() - offset_sum) / t)
+        if best_val - lower <= cfg.tol:
+            return best_z, lower, trace, True
         log_w -= (cfg.eta0 / math.sqrt(t)) * grad
+    best = np.minimum.accumulate(trace)
     converged = (
-        len(history) > STABILIZATION_WINDOW
-        and history[-1 - STABILIZATION_WINDOW] - history[-1] < cfg.tol
+        len(best) > STABILIZATION_WINDOW
+        and best[-1 - STABILIZATION_WINDOW] - best[-1] < cfg.tol
     )
-    return best_z, best_val, trace, converged
-
-
-def _spectral_lower_bound(family: RankOnePencil, z_best: np.ndarray) -> float:
-    """Certified lower bound on min_z 4 * specmax(pencil(z)).
-
-    For any fixed direction u the pencil's quadratic form is an affine function
-    of z whose range over the simplex is the interval spanned by the per-term
-    values (f_k . u)^2; its distance from the target value bounds every z from
-    below. The candidate directions are the eigenvectors of the target moment
-    matrix and of the pencil at the returned weights.
-    """
-    base = family.base.data
-    best = 0.0
-    for mat in (base, family.term_sum(z_best) - base):
-        vecs = sym_eigen(mat)[1]
-        targets = np.sum(vecs * (base @ vecs), axis=0)
-        spans = (family.factor @ vecs) ** 2
-        best = max(
-            best,
-            float(np.max(spans.min(axis=0) - targets)),
-            float(np.max(targets - spans.max(axis=0))),
-        )
-    return 4.0 * best
+    return best_z, lower, trace, bool(converged)
 
 
 def _minimize_l2(family: RankOnePencil, cfg: SolverConfig) -> ReweightResult:
     base = family.base.data
-    objective = _family_objective(family)
-    if family.n_terms == 1:
-        z = np.ones(1)
-        achieved = 4.0 * objective(z)
-        return ReweightResult(
-            weights=SimplexVector(z),
-            achieved_disc=achieved,
-            lower_bound=_spectral_lower_bound(family, z),
-            trace=(achieved,),
-        )
     scale = float(np.linalg.norm(base))
     if scale <= 0.0:
         scale = 1.0
     scaled = RankOnePencil(base / scale, family.factor / math.sqrt(scale))
-    z_best, _, raw_trace, converged = _mirror_descent(scaled, cfg)
-    achieved = 4.0 * objective(z_best)
-    lower = _spectral_lower_bound(family, z_best)
+    z_best, lower, raw_trace, converged = _mirror_descent(scaled, cfg)
+    achieved = 4.0 * _family_objective(family)(z_best)
+    # the scaled bound passes the achieved value only by rounding
+    lower = min(4.0 * scale * lower, achieved)
     warnings = () if converged else (
-        f"mirror descent hit max_iters={cfg.max_iters} before stabilizing",
+        f"mirror descent hit max_iters={cfg.max_iters} before its gap closed or it stabilized",
     )
     return ReweightResult(
         weights=SimplexVector.normalized(z_best),

@@ -95,6 +95,30 @@ def test_minimize_kernel_route(capsys, pair_2d):
     assert payload["achieved_disc"] >= payload["lower_bound"] - 1e-9
 
 
+@pytest.mark.parametrize("command", ["disc", "minimize"])
+@pytest.mark.parametrize(
+    "loss, hypothesis, cause",
+    [
+        ("l2", "threshold1d", "l2 loss supports --hypothesis linear or kernel"),
+        ("zeroone", "kernel", "zero-one loss supports --hypothesis threshold1d only"),
+    ],
+)
+def test_mismatched_loss_and_hypothesis_exit_2(capsys, pair_1d, command, loss, hypothesis, cause):
+    code, out, err = run_cli(capsys, command, "--loss", loss, "--hypothesis", hypothesis, *pair_1d)
+    assert code == 2
+    assert out == ""
+    assert cause in err
+
+
+@pytest.mark.parametrize("command", ["disc", "minimize"])
+def test_hypothesis_defaults_by_loss(capsys, pair_1d, command):
+    for loss, hypothesis in (("zeroone", "threshold1d"), ("l2", "linear")):
+        code, out, _ = run_cli(capsys, command, "--loss", loss, *pair_1d)
+        explicit = run_cli(capsys, command, "--loss", loss, "--hypothesis", hypothesis, *pair_1d)
+        assert code == 0
+        assert (code, out) == explicit[:2]
+
+
 def test_rademacher_exact_json(capsys, tmp_path):
     path = tmp_path / "pts.csv"
     write_sample_csv(path, [0.0, 1.0, 2.0, 3.0])
