@@ -45,7 +45,10 @@ MatrixLike = Union[SymMatrix, np.ndarray]
 
 
 def _as_array(mat: MatrixLike) -> np.ndarray:
-    return mat.data if isinstance(mat, SymMatrix) else np.asarray(mat, dtype=float)
+    a = mat.data if isinstance(mat, SymMatrix) else np.asarray(mat, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ValueError("need a nonempty square matrix")
+    return a
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -65,26 +68,31 @@ def sym_eigen(mat: MatrixLike):
     The sort is stable, so equal eigenvalues keep the order LAPACK returns.
     """
     a = _as_array(mat)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise ValueError("need a nonempty square matrix")
     vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
     order = np.argsort(-vals, kind="stable")
     return vals[order], _fix_signs(vecs[:, order])
+
+
+def _abs_max(a: np.ndarray):
+    """:func:`spectral_abs_max` of a square array, with the vector's sign left as
+    ``eigh`` gives it; ties resolve as in :func:`sym_eigen`'s stable order."""
+    vals, vecs = np.linalg.eigh(0.5 * (a + a.T))  # ascending
+    if vals[-1] >= -vals[0]:
+        i = int(vals.searchsorted(vals[-1]))
+        return float(vals[i]), vecs[:, i]
+    i = int(vals.searchsorted(vals[0], "right")) - 1
+    return float(-vals[i]), vecs[:, i]
 
 
 def spectral_abs_max(mat: MatrixLike):
     """Largest absolute eigenvalue of a symmetric matrix with a witness direction.
 
     Returns ``(value, u)`` where ``value = max(lam_max(A), lam_max(-A)) >= 0``
-    and ``u`` is a unit vector with ``|u' A u| = value``. Ties between the two
-    branches resolve to the positive branch.
+    and ``u`` is a unit vector with ``|u' A u| = value``, leading component
+    positive. Ties between the two branches resolve to the positive branch.
     """
-    vals, vecs = sym_eigen(mat)
-    top = float(vals[0])
-    bottom = float(vals[-1])
-    if top >= -bottom:
-        return top, vecs[:, 0].copy()
-    return -bottom, vecs[:, -1].copy()
+    value, u = _abs_max(_as_array(mat))
+    return value, _fix_signs(u[:, None])[:, 0]
 
 
 def psd_sqrt(mat: MatrixLike) -> SymMatrix:

@@ -3,7 +3,8 @@
 Three solver families cover the cases the rest of the package needs:
 
 - an exact combinatorial rule for 1-d threshold classes,
-- a small linear program over canonical regions for the 0-1 loss,
+- a small linear program for the 0-1 loss over a boolean region-membership
+  matrix whose columns are the joint support (q's points first),
 - entropic mirror descent on the spectral objective for the squared loss,
   in feature space or through a kernel gram matrix.
 
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SimplexVector, WeightedEmpirical
+from .core import SimplexVector, WeightedEmpirical, _unique_rows
 from .distance import disc_01_threshold1d, joint_support
-from .linalg import RankOnePencil, SymMatrix, psd_sqrt, spectral_abs_max
+from .linalg import RankOnePencil, SymMatrix, _abs_max, psd_sqrt
 from .simplex_lp import solve_lp
 
 STABILIZATION_WINDOW = 100
@@ -115,72 +116,63 @@ def minimize_1d(q: WeightedEmpirical, p: WeightedEmpirical) -> ReweightResult:
 # --------------------------------------------------------------------------
 
 
-def canonical_regions_1d(q: WeightedEmpirical, p: WeightedEmpirical) -> tuple:
+def canonical_regions_1d(q: WeightedEmpirical, p: WeightedEmpirical) -> np.ndarray:
     """Distinct traces of intervals (and their complements) on the joint support.
 
-    Two regions with the same trace constrain the weights identically, so only
-    one representative per trace is kept; the empty trace is dropped.
+    Returns the membership matrix :func:`minimize_01_lp` takes: the runs of
+    consecutive points in (first, last) order, then the complements of the
+    runs that touch neither end; other complements repeat a run or are empty.
     """
     if q.dim != 1 or p.dim != 1:
         raise ValueError("canonical regions are generated for 1-d supports only")
-    keys = sorted(set(q.keys()) | set(p.keys()))  # the joint support, left to right
-    k = len(keys)
-    all_keys = frozenset(keys)
-    regions: list[frozenset] = []
-    for i in range(k):
-        for j in range(i, k):
-            regions.append(frozenset(keys[i : j + 1]))
-    for run in list(regions):
-        regions.append(all_keys - run)
-    deduped = [r for r in dict.fromkeys(regions) if r]
-    return tuple(deduped)
+    pts, _, _ = joint_support(q, p)
+    rank = np.argsort(np.argsort(pts[:, 0], kind="stable"))  # ascending position
+    first, last = np.nonzero(np.tri(rank.size, dtype=bool).T)  # np.triu_indices, faster
+    runs = (rank >= first[:, None]) & (rank <= last[:, None])
+    inner = (first > 0) & (last < rank.size - 1)
+    return np.vstack([runs, ~runs[inner]])
 
 
 def minimize_01_lp(q: WeightedEmpirical, p: WeightedEmpirical, regions) -> ReweightResult:
     """Minimize the maximum weighted-mass gap over the given regions by LP.
 
-    Variables are the new weights plus the gap bound t; each region demands
-    +/-(sum of region weights - target mass) <= t, and the weights are pinned
-    to the simplex. Regions that restrict to the same subset of reweightable
-    points differ only in their target mass, so each such group contributes
-    just its tightest pair of rows (smallest mass above, largest below).
-    When several weight vectors reach the optimal gap, the weights returned
-    are one optimal vertex of the LP; which one is not part of the contract.
+    ``regions`` is a boolean matrix, a row per region and a column per point
+    of ``joint_support(q, p)``, q's points first, in any dimension. Variables
+    are the new weights, on the simplex, and the gap bound t; each region
+    demands +/-(sum of region weights - target mass) <= t. Regions that put
+    the same reweightable points together differ only in target mass, so each
+    such group gives just its tightest pair of rows (smallest mass above,
+    largest below). Where several weight vectors reach the optimal gap, the
+    weights are one optimal vertex of the LP; which one is not promised.
     """
-    regions = tuple(regions)
-    if not regions:
+    _, _, pm = joint_support(q, p)
+    member = np.asarray(regions)
+    if member.shape[:1] == (0,):
         raise ValueError("need at least one region")
-    q_keys = q.keys()
-    support_keys = set(q_keys) | set(p.keys())
-    m0 = len(q_keys)
-    mass_range: dict[tuple, list[float]] = {}
-    lower = 0.0
-    for region in regions:
-        if not frozenset(region) <= support_keys:
-            raise ValueError("region contains points outside the joint support")
-        ind = tuple(1.0 if key in region else 0.0 for key in q_keys)
-        mass = p.mass_of_keys(region)
-        span = mass_range.setdefault(ind, [mass, mass])
-        span[0] = min(span[0], mass)
-        span[1] = max(span[1], mass)
-        if not any(ind):
-            lower = max(lower, mass)
-    rows: list[tuple] = []
-    for ind, (low_mass, high_mass) in mass_range.items():
-        rows.append((ind + (-1.0,), low_mass))
-        rows.append((tuple(-v for v in ind) + (-1.0,), -high_mass))
-    rows.append(((1.0,) * m0 + (0.0,), 1.0))
-    rows.append(((-1.0,) * m0 + (0.0,), -1.0))
-    unique = list(dict.fromkeys(rows))
-    a_ub = np.array([r[0] for r in unique])
-    b_ub = np.array([r[1] for r in unique])
-    c = np.zeros(m0 + 1)
-    c[-1] = 1.0
-    res = solve_lp(c, a_ub, b_ub)
+    if member.dtype != bool or member.shape[1:] != pm.shape:
+        raise ValueError(f"regions need one boolean column per joint-support point ({pm.size})")
+    m0 = q.size
+    mass = member @ pm
+    first, group = _unique_rows(member[:, :m0])
+    # a last group, covering every weight with mass 1, pins sum z to 1
+    ind = np.vstack([member[first, :m0], np.ones(m0)])
+    low = np.append(np.full(first.size, np.inf), 1.0)
+    high = np.append(np.zeros(first.size), 1.0)
+    np.minimum.at(low, group, mass)
+    np.maximum.at(high, group, mass)
+    covered = ind.any(axis=1)
+    # rows ind z - t <= low and -ind z - t <= -high; the simplex pair has no t
+    a_ub = np.zeros((2 * ind.shape[0], m0 + 1))
+    a_ub[::2, :m0], a_ub[1::2, :m0] = ind, -ind
+    a_ub[:-2, m0] = -1.0
+    b_ub = np.column_stack([low, -high]).ravel()
+    # a group covering no q point and no target mass gives two equal rows
+    keep = np.column_stack([np.ones_like(covered), covered | (high > 0.0)]).ravel()
+    res = solve_lp(np.r_[np.zeros(m0), 1.0], a_ub[keep], b_ub[keep])
     return ReweightResult(
         weights=SimplexVector.normalized(res.x[:m0]),
         achieved_disc=float(res.objective),
-        lower_bound=float(lower),
+        lower_bound=float(high[~covered].max(initial=0.0)),
     )
 
 
@@ -224,8 +216,7 @@ def _family_objective(family: RankOnePencil):
     base = family.base.data
 
     def objective(z) -> float:
-        value, _ = spectral_abs_max(family.term_sum(np.asarray(z, dtype=float)) - base)
-        return float(value)
+        return _abs_max(family.term_sum(np.asarray(z, dtype=float)) - base)[0]
 
     return objective
 
@@ -260,7 +251,7 @@ def _mirror_descent(family: RankOnePencil, cfg: SolverConfig):
         z = np.exp(shifted)
         z /= z.sum()
         m = family.term_sum(z) - base
-        val, u = spectral_abs_max(m)
+        val, u = _abs_max(m)  # u's sign is irrelevant: grad squares F u
         trace.append(float(val))
         sign = 1.0 if float(u @ m @ u) >= 0.0 else -1.0
         grad = sign * (family.factor @ u) ** 2

@@ -33,6 +33,7 @@ from discrep import (
     run_experiment_2,
     verify_stability_bound,
 )
+from discrep.core import point_key
 
 # Weights are multiples of 1/1024, so every mass sum below is exact in binary
 # floating point and value comparisons can demand bitwise equality.
@@ -75,9 +76,12 @@ def planar_pair(rng, m0, n0):
 
 def max_unlabeled_mass(q, p):
     """Largest target mass over regions that avoid every reweightable point."""
+    pts, _, _ = joint_support(q, p)
+    keys = [point_key(r) for r in pts]
     q_keys = set(q.keys())
     best = 0.0
-    for region in canonical_regions_1d(q, p):
+    for row in canonical_regions_1d(q, p):
+        region = frozenset(keys[c] for c in np.flatnonzero(row))
         if not (region & q_keys):
             best = max(best, p.mass_of_keys(region))
     return best

@@ -9,6 +9,8 @@ from discrep.linalg import (
     PolynomialKernel,
     RankOnePencil,
     SymMatrix,
+    _abs_max,
+    _fix_signs,
     gram_matrix,
     psd_sqrt,
     spectral_abs_max,
@@ -118,6 +120,44 @@ def test_spectral_abs_max_properties():
         c = float(rng.normal())
         scaled, _ = spectral_abs_max(c * a)
         assert scaled == pytest.approx(abs(c) * val, rel=1e-9, abs=1e-12)
+
+
+def sorted_abs_max(a):
+    """spectral_abs_max read off the full descending decomposition."""
+    vals, vecs = sym_eigen(a)
+    if vals[0] >= -vals[-1]:
+        return float(vals[0]), vecs[:, 0]
+    return float(-vals[-1]), vecs[:, -1]
+
+
+@st.composite
+def spectra(draw):
+    """Symmetric matrices with repeated eigenvalues and signed zeros: a
+    diagonal drawn from a small alphabet, optionally rotated, or a dense draw."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["diagonal", "rotated", "dense"]))
+    if kind == "dense":
+        flat = draw(st.lists(st.floats(-1e3, 1e3), min_size=n * n, max_size=n * n))
+        a = np.array(flat).reshape(n, n)
+        return a + a.T
+    alphabet = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]) | st.floats(-1e3, 1e3)
+    a = np.diag(draw(st.lists(alphabet, min_size=n, max_size=n)))
+    if kind == "diagonal":
+        return a
+    rot, _ = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, n)))
+    return rot @ a @ rot.T
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectra())
+def test_abs_max_matches_sorted_decomposition_bitwise(a):
+    want_val, want_vec = sorted_abs_max(a)
+    raw_val, raw_vec = _abs_max(a)
+    val, vec = spectral_abs_max(a)
+    for got in (raw_val, val):
+        assert np.float64(got).tobytes() == np.float64(want_val).tobytes()
+    assert vec.tobytes() == want_vec.tobytes()
+    assert _fix_signs(raw_vec[:, None])[:, 0].tobytes() == want_vec.tobytes()
 
 
 def test_psd_sqrt_diagonal_and_roundtrip():

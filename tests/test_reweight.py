@@ -108,10 +108,18 @@ def test_minimize_1d_rejects_wide_points():
 # --------------------------------------------------------------------------
 
 
+def region_keys(q, p, regions):
+    """The membership rows as sets of point keys over the joint support."""
+    pts, _, _ = joint_support(q, p)
+    keys = [point_key(r) for r in pts]
+    return [frozenset(keys[c] for c in np.flatnonzero(row)) for row in regions]
+
+
 def test_canonical_regions_single_point():
     q = from_points([1.0])
     regions = canonical_regions_1d(q, q)
-    assert regions == (frozenset({point_key([1.0])}),)
+    assert regions.dtype == bool and regions.shape == (1, 1)
+    assert region_keys(q, q, regions) == [frozenset({point_key([1.0])})]
 
 
 def test_canonical_regions_three_points():
@@ -128,14 +136,14 @@ def test_canonical_regions_three_points():
         frozenset({k1, k2, k3}),
         frozenset({k1, k3}),
     }
-    assert set(regions) == expected
+    assert set(region_keys(q, p, regions)) == expected
     assert len(regions) == len(expected)
 
 
 def test_canonical_regions_never_contain_empty_trace():
     rng = np.random.default_rng(3)
     q, p = rand_1d(rng, max_pts=4)
-    regions = canonical_regions_1d(q, p)
+    regions = region_keys(q, p, canonical_regions_1d(q, p))
     assert all(region for region in regions)
     assert len(set(regions)) == len(regions)
 
@@ -159,9 +167,12 @@ def test_lp_region_validation():
     q = from_points([0.0])
     p = from_points([1.0])
     with pytest.raises(ValueError, match="at least one region"):
+        minimize_01_lp(q, p, np.zeros((0, 2), dtype=bool))
+    with pytest.raises(ValueError, match="at least one region"):
         minimize_01_lp(q, p, ())
-    with pytest.raises(ValueError, match="outside the joint support"):
-        minimize_01_lp(q, p, (frozenset({point_key([9.0])}),))
+    for wrong in (np.ones((1, 3), dtype=bool), np.ones((1, 2)), np.ones(2, dtype=bool)):
+        with pytest.raises(ValueError, match="boolean column per joint-support point"):
+            minimize_01_lp(q, p, wrong)
 
 
 # --------------------------------------------------------------------------

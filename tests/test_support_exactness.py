@@ -5,7 +5,9 @@ The oracles below are the row-by-row implementations, keying every point with
 ``per_example_weights`` and ``canonical_regions_1d``, and the two-sort version
 of the sorted 1-d support behind ``disc_01_threshold1d``. The properties
 require exact equality: the same points (sign bits of zeros included),
-weights, order, values and warnings.
+weights, order, values and warnings. The 0-1 LP, which sums region masses in
+another order, is held to its key-set oracle within 1e-12 and, on arbitrary
+membership matrices, to scipy's HiGHS on the ungrouped program.
 """
 from unittest import mock
 
@@ -13,12 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from discrep import core, distance
 from discrep.core import SimplexVector, WeightedEmpirical, merge_duplicates, point_key
 from discrep.distance import disc_01_threshold1d, joint_support
 from discrep.experiments import per_example_weights
-from discrep.reweight import LEFT_MASS_WARNING, canonical_regions_1d, minimize_1d
+from discrep.reweight import LEFT_MASS_WARNING, canonical_regions_1d, minimize_01_lp, minimize_1d
+from discrep.simplex_lp import solve_lp
 
 # --------------------------------------------------------------------------
 # loop oracles
@@ -137,6 +141,35 @@ def loop_canonical_regions_1d(q, p):
     return tuple(r for r in dict.fromkeys(regions) if r)
 
 
+def loop_minimize_01_lp(q, p, regions):
+    """(objective, lower bound, LP rows) of the LP over key-set regions, built
+    region by region: one dict entry per distinct q-indicator keeps its mass
+    range, and equal rows are dropped."""
+    q_keys = q.keys()
+    m0 = len(q_keys)
+    mass_range: dict[tuple, list[float]] = {}
+    lower = 0.0
+    for region in regions:
+        ind = tuple(1.0 if key in region else 0.0 for key in q_keys)
+        mass = p.mass_of_keys(region)
+        span = mass_range.setdefault(ind, [mass, mass])
+        span[0] = min(span[0], mass)
+        span[1] = max(span[1], mass)
+        if not any(ind):
+            lower = max(lower, mass)
+    rows: list[tuple] = []
+    for ind, (low_mass, high_mass) in mass_range.items():
+        rows.append((ind + (-1.0,), low_mass))
+        rows.append((tuple(-v for v in ind) + (-1.0,), -high_mass))
+    rows.append(((1.0,) * m0 + (0.0,), 1.0))
+    rows.append(((-1.0,) * m0 + (0.0,), -1.0))
+    unique = list(dict.fromkeys(rows))
+    c = np.zeros(m0 + 1)
+    c[-1] = 1.0
+    res = solve_lp(c, np.array([r[0] for r in unique]), np.array([r[1] for r in unique]))
+    return float(res.objective), float(lower), len(unique)
+
+
 # --------------------------------------------------------------------------
 # inputs: few distinct coordinate values per example, so rows repeat, tie,
 # mix 0.0 with -0.0 and differ in a single coordinate; scales 1e-300..1e300
@@ -243,10 +276,64 @@ def test_minimize_1d_matches_loop_bitwise(pair):
 @given(distribution_pairs(dims=st.just(1)))
 def test_canonical_regions_match_loop_exactly(pair):
     q, p = pair
+    pts, _, _ = joint_support(q, p)
+    regions = canonical_regions_1d(q, p)
+    assert regions.dtype == bool and regions.shape[1] == len(pts)
     # repr shows the region order and the signs of zeros
-    got = [repr(sorted(r, key=repr)) for r in canonical_regions_1d(q, p)]
+    got = [repr(sorted((point_key(pts[c]) for c in np.flatnonzero(row)), key=repr))
+           for row in regions]
     want = [repr(sorted(r, key=repr)) for r in loop_canonical_regions_1d(q, p)]
     assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(distribution_pairs(dims=st.just(1)))
+def test_minimize_01_lp_matches_key_set_oracle(pair):
+    q, p = pair
+    with mock.patch("discrep.reweight.solve_lp", wraps=solve_lp) as solved:
+        got = minimize_01_lp(q, p, canonical_regions_1d(q, p))
+    objective, lower, n_rows = loop_minimize_01_lp(q, p, loop_canonical_regions_1d(q, p))
+    assert solved.call_args.args[1].shape[0] == n_rows
+    assert abs(got.achieved_disc - objective) <= 1e-12
+    assert abs(got.lower_bound - lower) <= 1e-12
+
+
+@st.composite
+def membership_problems(draw):
+    """A pair of distributions in 1 to 3 dimensions and any boolean
+    membership matrix over their joint support."""
+    q, p = draw(distribution_pairs())
+    k = joint_support(q, p)[0].shape[0]
+    n = draw(st.integers(1, 12))
+    flat = draw(st.lists(st.booleans(), min_size=n * k, max_size=n * k))
+    return q, p, np.array(flat, dtype=bool).reshape(n, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(membership_problems())
+def test_minimize_01_lp_matches_highs_on_any_membership(problem):
+    q, p, member = problem
+    got = minimize_01_lp(q, p, member)
+    # the ungrouped program: min t s.t. |ind z - mass| <= t, z on the simplex
+    _, _, pm = joint_support(q, p)
+    ind = member[:, : q.size].astype(float)
+    mass = member.astype(float) @ pm
+    gap = -np.ones((len(member), 1))
+    want = linprog(
+        np.r_[np.zeros(q.size), 1.0],
+        A_ub=np.block([[ind, gap], [-ind, gap]]),
+        b_ub=np.r_[mass, -mass],
+        A_eq=np.r_[np.ones(q.size), 0.0][None, :],
+        b_eq=[1.0],
+        bounds=(0, None),
+        method="highs",
+        # HiGHS's default feasibility tolerance, 1e-7, would hide masses below it
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert want.status == 0
+    assert abs(got.achieved_disc - want.fun) <= 1e-9
+    assert np.abs(ind @ got.weights.entries - mass).max() <= got.achieved_disc + 1e-9
+    assert abs(got.lower_bound - mass[~ind.any(axis=1)].max(initial=0.0)) <= 1e-12
 
 
 @settings(max_examples=300, deadline=None)
