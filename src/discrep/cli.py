@@ -3,7 +3,8 @@
 Subcommands: disc, minimize, rademacher, bounds, exp1, exp2. Results go to
 stdout as JSON; experiment curves go to --out as CSV (with a sibling
 .trials.csv holding per-trial rows). Exit codes: 0 success, 2 input error,
-3 solver non-convergence.
+3 when a solver stopped at its iteration cap or stalled before its certified
+gap closed (``stop_reason`` ``cap`` or ``stall``).
 """
 from __future__ import annotations
 
@@ -136,9 +137,11 @@ def _cmd_minimize(args) -> int:
             "lower_bound": result.lower_bound,
             "converged": result.converged,
             "warnings": list(result.warnings),
+            "iterations": result.iterations,
+            "stop_reason": result.stop_reason,
         }
     )
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    return EXIT_NO_CONVERGENCE if result.stop_reason in ("cap", "stall") else EXIT_OK
 
 
 def _cmd_rademacher(args) -> int:
@@ -271,7 +274,8 @@ def _add_solver_flags(parser: argparse.ArgumentParser, default_iters: int = 2000
     parser.add_argument("--max-iters", type=int, default=default_iters)
     parser.add_argument(
         "--tol", type=float, default=1e-6,
-        help="certified-gap and plateau threshold on the normalized objective",
+        help="certified gap on the normalized objective at which the solver stops "
+        "(for exp2's mirror descent also the plateau threshold)",
     )
 
 

@@ -5,11 +5,16 @@ Three solver families cover the cases the rest of the package needs:
 - an exact combinatorial rule for 1-d threshold classes,
 - a small linear program for the 0-1 loss over a boolean region-membership
   matrix whose columns are the joint support (q's points first),
-- entropic mirror descent on the spectral objective for the squared loss,
-  in feature space or through a kernel gram matrix.
+- for the squared loss, in feature space or through a kernel gram matrix, the
+  semidefinite program ``min_z ||sum_k z_k f_k f_k' - B||_2`` over the simplex:
+  a primal-dual interior-point method solves it to a certified gap; entropic
+  mirror descent runs instead when the solver configuration names a step
+  size ``eta0`` (the regression pipeline, whose weights are an early-stopped
+  iterate by design).
 
 All solvers report a certified ``lower_bound`` alongside the achieved value,
-so callers can see how close to optimal the returned weights are.
+so callers can see how close to optimal the returned weights are, and say why
+they stopped (``ReweightResult.stop_reason``).
 """
 from __future__ import annotations
 
@@ -28,27 +33,44 @@ STABILIZATION_WINDOW = 100
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the first-order solvers (all deterministic). ``tol`` is both
-    the certified-gap and the plateau threshold on the normalized objective."""
+    """Knobs for the squared-loss solvers (all deterministic).
+
+    By default (``eta0`` unset) the interior-point method runs: at most
+    ``max_iters`` iterations, stopping once its certified gap on the
+    normalized objective is at most ``tol``. A step size ``eta0`` asks for
+    entropic mirror descent instead: at most ``max_iters`` steps, stopping on
+    the same gap, and otherwise reporting ``converged`` when its best value
+    moved by less than ``tol`` over the last ``STABILIZATION_WINDOW`` steps.
+    """
 
     max_iters: int = 2000
-    eta0: float = 1.0
+    eta0: float | None = None
     tol: float = 1e-6
 
     def __post_init__(self):
         if int(self.max_iters) != self.max_iters or self.max_iters < 1:
             raise ValueError("max_iters must be a positive integer")
         object.__setattr__(self, "max_iters", int(self.max_iters))
-        if not (math.isfinite(self.eta0) and self.eta0 > 0):
+        if self.eta0 is not None and not (math.isfinite(self.eta0) and self.eta0 > 0):
             raise ValueError("eta0 must be positive")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be positive")
 
 
+STOP_REASONS = ("gap", "cap", "stall", "exact")
+
+
 @dataclass(frozen=True)
 class ReweightResult:
     """Solver output: new weights for the reweightable support, the measured
-    discrepancy they achieve, and a certified lower bound on the optimum."""
+    discrepancy they achieve, and a certified lower bound on the optimum.
+
+    ``iterations`` counts the iterates an iterative solver evaluated (0 for
+    the exact solvers). ``stop_reason`` says why the solver stopped: ``gap``
+    once the certified gap closed, ``cap`` at ``max_iters``, ``stall`` when a
+    step failed or made no progress (the best iterate so far is returned),
+    ``exact`` for the 1-d rule and the LP.
+    """
 
     weights: SimplexVector
     achieved_disc: float
@@ -56,12 +78,16 @@ class ReweightResult:
     trace: tuple = ()
     converged: bool = True
     warnings: tuple = ()
+    iterations: int = 0
+    stop_reason: str = "exact"
 
     def __post_init__(self):
         if not (math.isfinite(self.achieved_disc) and math.isfinite(self.lower_bound)):
             raise ValueError("discrepancy values must be finite")
         if self.lower_bound > self.achieved_disc + 1e-9 * max(1.0, abs(self.achieved_disc)):
             raise ValueError("lower_bound exceeds achieved_disc")
+        if self.stop_reason not in STOP_REASONS:
+            raise ValueError(f"stop_reason must be one of {STOP_REASONS}")
 
 
 # --------------------------------------------------------------------------
@@ -231,11 +257,11 @@ def _mirror_descent(family: RankOnePencil, cfg: SolverConfig):
     (an accuracy certificate: Nemirovski, Onn & Rothblum, 2010) and for U_t
     alone, which is tightest, and taken, where the best value improves.
 
-    Returns ``(z_best, lower, per_iter_values, converged)``. The loop stops
-    once the best value is within ``cfg.tol`` of ``lower``, converged; else
-    ``converged`` means the best value moved by less than ``cfg.tol`` over the
-    final stabilization window, a postmortem only, as subgradient methods
-    plateau and recover.
+    Returns ``(z_best, lower, per_iter_values, converged, stop_reason)``. The
+    loop stops once the best value is within ``cfg.tol`` of ``lower``,
+    converged; else it stops at the cap and ``converged`` means the best
+    value moved by less than ``cfg.tol`` over the final stabilization window,
+    a postmortem only, as subgradient methods plateau and recover.
     """
     base = family.base.data
     m0 = family.n_terms
@@ -264,29 +290,191 @@ def _mirror_descent(family: RankOnePencil, cfg: SolverConfig):
         offset_sum += offset
         lower = max(lower, (grad_sum.min() - offset_sum) / t)
         if best_val - lower <= cfg.tol:
-            return best_z, lower, trace, True
+            return best_z, lower, trace, True, "gap"
         log_w -= (cfg.eta0 / math.sqrt(t)) * grad
     best = np.minimum.accumulate(trace)
     converged = (
         len(best) > STABILIZATION_WINDOW
         and best[-1 - STABILIZATION_WINDOW] - best[-1] < cfg.tol
     )
-    return best_z, lower, trace, bool(converged)
+    return best_z, lower, trace, bool(converged), "cap"
+
+
+# interior-point steps go this fraction of the way to the boundary of the cone
+_STEP_FRACTION = 0.98
+# a step shorter than this on both sides counts as no progress
+_MIN_STEP = 1e-10
+
+
+def _ratio_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """The largest alpha (inf if none) keeping ``v + alpha dv`` nonnegative."""
+    falling = dv < 0.0
+    return float((-v[falling] / dv[falling]).min(initial=np.inf))
+
+
+def _interior_point(family: RankOnePencil, cfg: SolverConfig):
+    """Primal-dual interior-point method for min ||M(z)||_2 over the simplex,
+    where M(z) = F' diag(z) F - B with B the pencil's base and F its factor:
+
+        min t  s.t.  S_1 = tI - M(z) >= 0,  S_2 = tI + M(z) >= 0,  z >= 0,  1'z = 1,
+
+    with dual variables X_1, X_2 >= 0 for the matrix constraints, x >= 0 for
+    z and y for the simplex. Each step takes the HKM direction with
+    Mehrotra's predictor-corrector, as in SDPT3 (Todd, Toh & Tutuncu, 1999;
+    see also Vandenberghe & Boyd, SIAM Review 1996). The Newton
+    system has only the m + 2 unknowns (dz, dt, dy): every term f_k f_k' is
+    rank one, so its z block is (F X_1 F')o(F S_1^-1 F') + (F X_2 F')o(F S_2^-1 F')
+    + diag(x / z), with o the entrywise product, and no term is ever formed.
+    The start is feasible and centred, and Newton steps keep the equality
+    constraints up to rounding; the bounds below need neither.
+
+    Lower bounds: W = (X_1 - X_2) / (tr X_1 + tr X_2) has trace norm at most
+    1, so <W, M(z)> <= ||M(z)||_2 for every z and min_k f_k'Wf_k - <B, W>
+    bounds the optimum; so does the bound from the top eigenvector of M at
+    each iterate (as in :func:`_mirror_descent`), exact with one term. Both
+    hold at any iterate. The loop stops once the best value is within
+    ``cfg.tol`` of the best bound; a failed factorization or a step that
+    makes no progress stops it early, with the best iterate.
+
+    Returns ``(z_best, lower, per_iter_values, converged, stop_reason)``.
+    """
+    base = family.base.data
+    f = family.factor
+    m0, order = f.shape
+    eye = np.eye(order)
+    signs = np.array([1.0, -1.0])[:, None, None]  # S_1 = tI - M, S_2 = tI + M
+    barrier = 2 * order + m0  # the number of complementary pairs
+    kkt = np.zeros((m0 + 2, m0 + 2))  # unknowns (dz, dt, dy)
+    kkt[:m0, m0 + 1] = kkt[m0 + 1, :m0] = -1.0
+    z_diag = np.diag_indices(m0)
+    rhs = np.zeros(m0 + 2)
+    z = np.full(m0, 1.0 / m0)
+    best_val, best_z, lower = np.inf, z, 0.0
+    trace: list[float] = []
+    stop = "cap"
+    for it in range(1, cfg.max_iters + 1):
+        m = family.term_sum(z) - base
+        val, u = _abs_max(m)
+        trace.append(val)
+        if val < best_val:
+            best_val, best_z = val, z
+        sign = 1.0 if float(u @ m @ u) >= 0.0 else -1.0
+        lower = max(lower, float((sign * (f @ u) ** 2).min()) - sign * float(u @ base @ u))
+        if it == 1:
+            # centred start: X_i = I / 2n and t = 2 ||M(z)||, so X_i S_i is
+            # within a factor 3 of mu I; x_k z_k = mu and 1'z = tr X_1 + tr X_2 = 1
+            t = 2.0 * val
+            xs = np.broadcast_to(eye / (2 * order), (2, order, order)).copy()
+            x = np.full(m0, m0 * t / (2 * order))
+            y = -x[0]
+        else:
+            w = (xs[0] - xs[1]) / (np.trace(xs[0]) + np.trace(xs[1]))
+            lower = max(lower, float(((f @ w) * f).sum(1).min()) - float((base * w).sum()))
+        if best_val - lower <= cfg.tol:
+            stop = "gap"
+            break
+        if it == cfg.max_iters:
+            break
+        s = t * eye - signs * m
+        try:
+            # inverse Cholesky factors of S_1, S_2, X_1, X_2: they give S_i^-1
+            # here and the longest steps that stay in the cones in direction()
+            inv_low = np.linalg.inv(np.linalg.cholesky(np.concatenate([s, xs])))
+        except np.linalg.LinAlgError:
+            stop = "stall"
+            break
+        s_inv = inv_low[:2].transpose(0, 2, 1) @ inv_low[:2]
+        fx, fs = f @ xs, f @ s_inv
+        kkt[:m0, :m0] = ((fx @ f.T) * (fs @ f.T)).sum(0)
+        kkt[z_diag] += x / z
+        h = (fx * fs).sum(2)  # h_ik = f_k' X_i S_i^-1 f_k
+        kkt[:m0, m0] = kkt[m0, :m0] = h[1] - h[0]
+        kkt[m0, m0] = (xs * s_inv).sum()
+        rhs[m0 + 1] = z.sum() - 1.0
+        mu = ((xs * s).sum() + x @ z) / barrier
+
+        def direction(q, rx):
+            """Newton step towards X_i S_i = R_i and x z = rx, where
+            q_i = sym(R_i S_i^-1), with the largest primal and dual steps."""
+            qf = ((f @ q) * f).sum(2)
+            rhs[:m0] = y - qf[0] + qf[1] + rx / z
+            rhs[m0] = np.trace(q, axis1=1, axis2=2).sum() - 1.0
+            try:
+                sol = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError:  # singular where the optimal z is not unique
+                sol = np.linalg.lstsq(kkt, rhs)[0]
+            dz, dt = sol[:m0], sol[m0]
+            ds = dt * eye - signs * family.term_sum(dz)
+            dxs = xs @ ds @ s_inv
+            dxs = q - xs - 0.5 * (dxs + dxs.transpose(0, 2, 1))
+            dx = rx / z - x - x / z * dz
+            moves = inv_low @ np.concatenate([ds, dxs]) @ inv_low.transpose(0, 2, 1)
+            least = np.linalg.eigvalsh(moves)
+            with np.errstate(divide="ignore"):
+                steps = np.where(least[:, 0] < 0.0, -1.0 / least[:, 0], np.inf)
+            primal = min(steps[0], steps[1], _ratio_step(z, dz))
+            dual = min(steps[2], steps[3], _ratio_step(x, dx))
+            return sol, ds, dxs, dx, primal, dual
+
+        try:
+            sol, ds, dxs, dx, primal, dual = direction(np.zeros((2, order, order)), np.zeros(m0))
+            dz, primal, dual = sol[:m0], min(1.0, primal), min(1.0, dual)
+            mu_aff = (
+                ((xs + dual * dxs) * (s + primal * ds)).sum() + (x + dual * dx) @ (z + primal * dz)
+            ) / barrier
+            target = min(1.0, mu_aff / mu) ** 3 * mu
+            corr = dxs @ ds @ s_inv
+            q = target * s_inv - 0.5 * (corr + corr.transpose(0, 2, 1))
+            sol, _, dxs, dx, primal, dual = direction(q, target - dx * dz)
+        except np.linalg.LinAlgError:
+            stop = "stall"
+            break
+        primal = min(1.0, _STEP_FRACTION * primal)
+        dual = min(1.0, _STEP_FRACTION * dual)
+        if max(primal, dual) < _MIN_STEP or not all(np.isfinite(a).all() for a in (sol, dxs, dx)):
+            stop = "stall"
+            break
+        z = z + primal * sol[:m0]
+        t = t + primal * sol[m0]
+        xs = xs + dual * dxs
+        x = x + dual * dx
+        y = y + dual * sol[m0 + 1]
+    return best_z, lower, trace, stop == "gap", stop
 
 
 def _minimize_l2(family: RankOnePencil, cfg: SolverConfig) -> ReweightResult:
+    """Minimize the spectral objective over the simplex and measure the result.
+
+    The interior-point method runs unless ``cfg.eta0`` sets a mirror-descent
+    step size. Each works on a normalized pencil: mirror descent divides by
+    ``||B||_F``; the interior-point method by ``max(||B||_F, max_k |f_k|^2)``,
+    so that neither the base nor the factors dominate. ``cfg.tol`` applies to
+    the normalized objective.
+    """
     base = family.base.data
     scale = float(np.linalg.norm(base))
+    if cfg.eta0 is None:
+        solver, name = _interior_point, "interior-point method"
+        scale = max(scale, float(np.einsum("ij,ij->i", family.factor, family.factor).max()))
+    else:
+        solver, name = _mirror_descent, "mirror descent"
     if scale <= 0.0:
         scale = 1.0
     scaled = RankOnePencil(base / scale, family.factor / math.sqrt(scale))
-    z_best, lower, raw_trace, converged = _mirror_descent(scaled, cfg)
+    z_best, lower, raw_trace, converged, stop = solver(scaled, cfg)
     achieved = 4.0 * _family_objective(family)(z_best)
     # the scaled bound passes the achieved value only by rounding
     lower = min(4.0 * scale * lower, achieved)
-    warnings = () if converged else (
-        f"mirror descent hit max_iters={cfg.max_iters} before its gap closed or it stabilized",
-    )
+    if converged:
+        warnings = ()
+    elif stop == "stall":
+        warnings = (
+            f"{name} stalled after {len(raw_trace)} iterations before its gap closed; "
+            "the weights are its best iterate",
+        )
+    else:
+        plateau = "" if cfg.eta0 is None else " or it stabilized"
+        warnings = (f"{name} hit max_iters={cfg.max_iters} before its gap closed{plateau}",)
     return ReweightResult(
         weights=SimplexVector.normalized(z_best),
         achieved_disc=achieved,
@@ -294,6 +482,8 @@ def _minimize_l2(family: RankOnePencil, cfg: SolverConfig) -> ReweightResult:
         trace=tuple(4.0 * scale * v for v in raw_trace),
         converged=converged,
         warnings=warnings,
+        iterations=len(raw_trace),
+        stop_reason=stop,
     )
 
 

@@ -141,6 +141,7 @@ def _grid_minimum(tgt, terms, scale, step=0.005):
 
 
 def test_criterion_03_mirror_descent_reaches_grid_minimum():
+    # The default solver, now the interior-point method; the test id is kept.
     rng = np.random.default_rng(303)
     start = time.perf_counter()
     cfg = SolverConfig(max_iters=30000)

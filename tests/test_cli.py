@@ -69,7 +69,11 @@ def test_minimize_zeroone_json(capsys, pair_1d):
     code, out, _ = run_cli(capsys, "minimize", "--loss", "zeroone", *pair_1d)
     assert code == 0
     payload = json.loads(out)
-    assert set(payload) == {"weights", "achieved_disc", "lower_bound", "converged", "warnings"}
+    assert set(payload) == {
+        "weights", "achieved_disc", "lower_bound", "converged", "warnings", "iterations",
+        "stop_reason",
+    }
+    assert (payload["stop_reason"], payload["iterations"]) == ("exact", 0)
     assert payload["achieved_disc"] == pytest.approx(0.5)
     assert sum(payload["weights"]) == pytest.approx(1.0)
     with pytest.raises(SystemExit) as exc:  # no --dim flag: the route reads the files' dimension
@@ -82,9 +86,26 @@ def test_minimize_l2_json_and_convergence_exit(capsys, pair_2d):
     payload = json.loads(out)
     assert code in (0, 3)
     assert (code == 0) == payload["converged"]
+    assert payload["stop_reason"] == "gap" and 1 <= payload["iterations"] < 400
     code2, out2, _ = run_cli(capsys, "minimize", "--loss", "l2", "--max-iters", "3", *pair_2d)
     assert code2 == 3
-    assert json.loads(out2)["converged"] is False
+    payload2 = json.loads(out2)
+    assert payload2["converged"] is False
+    assert (payload2["stop_reason"], payload2["iterations"]) == ("cap", 3)
+
+
+def test_minimize_stall_exits_3(capsys, monkeypatch, pair_2d):
+    # A solver that stalls still reports its best weights and bound, as a
+    # non-convergence, not as an input error.
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    code, out, _ = run_cli(capsys, "minimize", "--loss", "l2", *pair_2d)
+    payload = json.loads(out)
+    assert code == 3
+    assert payload["stop_reason"] == "stall" and payload["converged"] is False
+    assert payload["lower_bound"] <= payload["achieved_disc"]
 
 
 def test_minimize_kernel_route(capsys, pair_2d):
@@ -93,6 +114,7 @@ def test_minimize_kernel_route(capsys, pair_2d):
     assert code in (0, 3)
     payload = json.loads(out)
     assert payload["achieved_disc"] >= payload["lower_bound"] - 1e-9
+    assert (code == 0) == (payload["stop_reason"] == "gap")
 
 
 @pytest.mark.parametrize("command", ["disc", "minimize"])

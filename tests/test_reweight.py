@@ -50,8 +50,10 @@ def test_minimize_1d_worked_example():
     assert res.achieved_disc == pytest.approx(2 / 3)
     assert res.lower_bound == pytest.approx(res.achieved_disc)
     assert res.converged and not res.warnings
+    assert (res.stop_reason, res.iterations) == ("exact", 0)
     lp = minimize_01_lp(q, p, canonical_regions_1d(q, p))
     assert lp.achieved_disc == pytest.approx(res.achieved_disc, abs=1e-9)
+    assert (lp.stop_reason, lp.iterations) == ("exact", 0)
 
 
 def test_minimize_1d_colocated_target_is_exact():
@@ -229,11 +231,13 @@ def test_minimize_l2_linear_trace_and_convergence_flags():
     res = minimize_l2_linear(q, p)
     best = np.minimum.accumulate(res.trace)
     assert np.all(np.diff(best) <= 1e-15)
-    assert res.converged
+    assert res.converged and res.stop_reason == "gap"
+    assert res.iterations == len(res.trace)
     short = minimize_l2_linear(q, p, SolverConfig(max_iters=5))
     assert not short.converged
     assert any("max_iters" in w for w in short.warnings)
     assert len(short.trace) == 5
+    assert (short.stop_reason, short.iterations) == ("cap", 5)
 
 
 def test_objective_is_convex_along_random_segments():
@@ -272,7 +276,7 @@ def test_grid_oracle_seed7_fixture():
 
 def test_mirror_descent_reaches_seed7_grid_optimum():
     q, p = seed7_instance()
-    res = minimize_l2_linear(q, p)
+    res = minimize_l2_linear(q, p, SolverConfig(eta0=1.0))
     # One-sided: the coarse grid can sit above the true optimum, so the solver
     # only has to match or beat it up to the acceptance tolerance.
     assert res.achieved_disc / 4.0 <= SEED7_GRID_VALUE + 1e-3
@@ -372,6 +376,7 @@ def test_grid_oracle_validation():
 
 
 def test_solver_config_validation():
+    assert SolverConfig().eta0 is None  # the interior-point method
     with pytest.raises(ValueError, match="max_iters"):
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError, match="eta0"):
@@ -386,6 +391,13 @@ def test_reweight_result_invariant():
             weights=SimplexVector.uniform(2),
             achieved_disc=0.1,
             lower_bound=0.5,
+        )
+    with pytest.raises(ValueError, match="stop_reason must be one of"):
+        ReweightResult(
+            weights=SimplexVector.uniform(2),
+            achieved_disc=0.5,
+            lower_bound=0.1,
+            stop_reason="plateau",
         )
 
 
@@ -410,7 +422,7 @@ def test_lower_bound_tolerance_is_relative_at_large_scale(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------------
-# the mirror-descent certificate
+# the certificates: interior-point method and mirror descent
 # --------------------------------------------------------------------------
 
 SCALES = (1e-3, 1e-1, 1.0, 1e2, 1e4)
@@ -443,13 +455,19 @@ def degenerate_samples(draw, size):
     return q, p, rng
 
 
-def l2_route(q, p, route):
-    """The pencil and the 200-iteration result of one squared-loss route."""
-    cfg = SolverConfig(max_iters=200)
+def l2_route(q, p, route, cfg):
+    """The pencil and the result of one squared-loss route."""
     if route == "linear":
         return l2_linear_family(q, p), minimize_l2_linear(q, p, cfg)
     gram = gram_matrix(joint_points(q, p), GaussianKernel(gamma=0.5)).data
     return l2_kernel_family(q, p, gram), minimize_l2_kernel(q, p, gram, cfg)
+
+
+def ipm_scale(family):
+    """The interior-point method's normalization, max(||B||_F, max_k |f_k|^2):
+    its ``tol`` bounds the certified gap of the objective divided by this."""
+    largest = max(np.linalg.norm(family.base.data), np.max(np.sum(family.factor**2, axis=1)))
+    return largest if largest > 0.0 else 1.0
 
 
 def rounding_slack(family, achieved):
@@ -461,12 +479,23 @@ def rounding_slack(family, achieved):
     return 1e-9 * max(1.0, achieved) + 1e-12 * 4.0 * entries
 
 
-@pytest.mark.parametrize("route", ["linear", "kernel"])
+# Each route once by the interior-point method (eta0 unset) and once by
+# mirror descent; the first two keep the ids these tests had before the
+# interior-point method existed.
+ROUTES_AND_STEPS = [
+    pytest.param("linear", None, id="linear"),
+    pytest.param("kernel", None, id="kernel"),
+    pytest.param("linear", 1.0, id="linear-mirror"),
+    pytest.param("kernel", 1.0, id="kernel-mirror"),
+]
+
+
+@pytest.mark.parametrize("route, eta0", ROUTES_AND_STEPS)
 @settings(max_examples=60, deadline=None)
 @given(case=degenerate_samples(None))
-def test_lower_bound_is_below_the_objective_everywhere(route, case):
+def test_lower_bound_is_below_the_objective_everywhere(route, eta0, case):
     q, p, rng = case
-    family, res = l2_route(q, p, route)
+    family, res = l2_route(q, p, route, SolverConfig(max_iters=200, eta0=eta0))
     objective = _family_objective(family)
     slack = rounding_slack(family, res.achieved_disc)
     points = list(np.eye(q.size)) + list(rng.dirichlet(np.ones(q.size), size=8))
@@ -476,30 +505,76 @@ def test_lower_bound_is_below_the_objective_everywhere(route, case):
     assert res.achieved_disc == pytest.approx(4.0 * objective(res.weights.entries), abs=slack)
 
 
-@pytest.mark.parametrize("route", ["linear", "kernel"])
+@pytest.mark.parametrize("route, eta0", ROUTES_AND_STEPS)
 @settings(max_examples=40, deadline=None)
 @given(case=degenerate_samples(1))
-def test_one_point_source_is_certified_at_once(route, case):
+def test_one_point_source_is_certified_at_once(route, eta0, case):
     q, p, _ = case
-    family, res = l2_route(q, p, route)
-    assert len(res.trace) == 1
-    assert res.converged and not res.warnings
+    family, res = l2_route(q, p, route, SolverConfig(max_iters=200, eta0=eta0))
+    assert len(res.trace) == 1 and res.iterations == 1
+    assert res.converged and not res.warnings and res.stop_reason == "gap"
     assert res.lower_bound == pytest.approx(
         res.achieved_disc, abs=rounding_slack(family, res.achieved_disc)
     )
 
 
-def test_certified_gap_on_a_gaussian_kernel_pair():
-    # 8 source and 16 target points in 2-d, the inputs of the kernel-minimize
-    # benchmark's first quality round. Bounding along fixed directions (the
-    # eigenvectors of B and of the pencil at the returned weights) leaves a
-    # gap of 0.212 here; the running-mean certificate leaves 0.022.
+@pytest.mark.parametrize("route", ["linear", "kernel"])
+@settings(max_examples=100, deadline=None)
+@given(case=degenerate_samples(None))
+def test_interior_point_certifies_degenerate_pencils(route, case):
+    # Collinear and repeated rows at mixed scales, down to a tolerance near
+    # rounding: the solver never raises, its bound holds everywhere, a "gap"
+    # stop is a true certificate, and its value is never worse than long
+    # mirror descent's beyond the tolerance.
+    q, p, rng = case
+    family, mirror = l2_route(q, p, route, SolverConfig(max_iters=2000, eta0=1.0))
+    objective = _family_objective(family)
+    points = list(np.eye(q.size)) + list(rng.dirichlet(np.ones(q.size), size=8))
+    scale = ipm_scale(family)
+    for tol in (1e-6, 1e-9, 1e-12):
+        _, res = l2_route(q, p, route, SolverConfig(tol=tol))
+        slack = rounding_slack(family, max(res.achieved_disc, mirror.achieved_disc))
+        assert res.stop_reason in ("gap", "stall")
+        assert res.converged == (res.stop_reason == "gap")
+        for z in points:
+            assert res.lower_bound <= 4.0 * objective(z) + slack
+        if res.stop_reason == "gap":
+            assert res.achieved_disc - res.lower_bound <= 4.0 * scale * tol + slack
+        assert res.achieved_disc <= mirror.achieved_disc + 4.0 * scale * tol + slack
+
+
+def kernel_bench_pair():
+    """8 source and 16 target points in 2-d with their Gaussian gram: the
+    inputs of the kernel-minimize benchmark's first quality round."""
     rng = np.random.default_rng([0x0D15C, 0])
     q = from_points(rng.normal(-0.5, 1.0, (8, 2)))
     p = from_points(rng.normal(0.5, 1.0, (16, 2)))
-    gram = gram_matrix(joint_points(q, p), GaussianKernel(gamma=0.5)).data
+    return q, p, gram_matrix(joint_points(q, p), GaussianKernel(gamma=0.5)).data
+
+
+def test_certified_gap_on_a_gaussian_kernel_pair():
+    # The interior-point method certifies the optimum to its tolerance well
+    # within the 200 iterations mirror descent is given below.
+    q, p, gram = kernel_bench_pair()
     res = minimize_l2_kernel(q, p, gram, SolverConfig(max_iters=200))
-    assert len(res.trace) == 200 and not res.converged
+    assert res.converged and res.stop_reason == "gap" and not res.warnings
+    assert res.iterations == len(res.trace) < 200
+    scale = ipm_scale(l2_kernel_family(q, p, gram))
+    assert 0.0 <= res.achieved_disc - res.lower_bound <= 4.0 * scale * SolverConfig().tol
+    # Iterates do not improve monotonically: the third is the worst so far,
+    # and a capped solve returns the best one, not the last.
+    capped = minimize_l2_kernel(q, p, gram, SolverConfig(max_iters=3))
+    assert capped.trace[-1] > min(capped.trace)
+    assert capped.achieved_disc == pytest.approx(min(capped.trace), rel=1e-12)
+
+
+def test_certified_gap_on_a_gaussian_kernel_pair_by_mirror_descent():
+    # Bounding along fixed directions (the eigenvectors of B and of the pencil
+    # at the returned weights) leaves a gap of 0.212 here; the running-mean
+    # certificate leaves 0.022.
+    q, p, gram = kernel_bench_pair()
+    res = minimize_l2_kernel(q, p, gram, SolverConfig(max_iters=200, eta0=1.0))
+    assert len(res.trace) == 200 and not res.converged and res.stop_reason == "cap"
     assert 0.0 <= res.achieved_disc - res.lower_bound <= 0.05
 
 
@@ -509,7 +584,7 @@ def test_certified_gap_keeps_the_iterate_bound():
     rng = np.random.default_rng(17)
     q = from_points(rng.normal(size=(3, 2)))
     p = from_points(rng.normal(size=(4, 2)))
-    res = minimize_l2_linear(q, p)
+    res = minimize_l2_linear(q, p, SolverConfig(eta0=1.0))
     assert 0.0 <= res.achieved_disc - res.lower_bound <= 1e-4
 
 
@@ -524,3 +599,34 @@ def test_closed_gap_stops_the_solver():
     assert len(res.trace) < 500
     scale = np.linalg.norm(l2_linear_family(q, p).base.data)
     assert 0.0 <= res.achieved_disc - res.lower_bound <= 4.0 * scale * SolverConfig().tol
+
+
+@pytest.mark.parametrize("routine", ["cholesky", "eigvalsh"])
+def test_failed_linear_algebra_returns_the_best_iterate(monkeypatch, routine):
+    # A factorization that fails, of the cones or of a step, stops the
+    # interior-point method with the best iterate so far (here the uniform
+    # start) and a valid bound.
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    q, p = seed7_instance()
+    monkeypatch.setattr(np.linalg, routine, fail)
+    res = minimize_l2_linear(q, p)
+    assert (res.stop_reason, res.iterations, res.converged) == ("stall", 1, False)
+    assert any("stalled" in w for w in res.warnings)
+    assert res.weights.entries == pytest.approx(np.full(3, 1 / 3))
+    assert res.achieved_disc == pytest.approx(disc_l2_linear(q, p).value, rel=1e-12)
+    assert 0.0 <= res.lower_bound <= res.achieved_disc
+
+
+def test_interior_point_certifies_when_the_factors_dwarf_the_base():
+    # Source points at scale 1e4 and target points near 1e-3: normalizing by
+    # ||B||_F alone would put the objective near 1e14 and leave the gap open.
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        q = from_points(rng.normal(0.0, 1e4, (4, 3)))
+        p = from_points(rng.normal(0.0, 1e-3, (5, 3)))
+        res = minimize_l2_linear(q, p)
+        scale = ipm_scale(l2_linear_family(q, p))
+        assert res.converged and res.stop_reason == "gap"
+        assert 0.0 <= res.achieved_disc - res.lower_bound <= 4.0 * scale * SolverConfig().tol
