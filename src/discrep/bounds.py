@@ -174,13 +174,9 @@ def _stability_with_gap(kappa, bound, disc, lam, label_gap) -> float:
 
 def pointwise_stability_shifted_labels(kappa, bound, disc, lam, label_gap) -> float:
     """Ceiling when the two domains' labeling functions differ; ``label_gap`` is
-    the root-mean-square label difference on the reweightable sample."""
-    return _stability_with_gap(kappa, bound, disc, lam, label_gap)
-
-
-def pointwise_stability_agnostic(kappa, bound, disc, lam, label_gap) -> float:
-    """Same ceiling with the label gap routed through the best in-class fit, for
-    targets that no hypothesis matches exactly."""
+    the root-mean-square label difference on the reweightable sample. For
+    targets that no hypothesis matches exactly (the agnostic case), pass the
+    gap to the best in-class fit instead."""
     return _stability_with_gap(kappa, bound, disc, lam, label_gap)
 
 
@@ -226,10 +222,6 @@ BOUND_REGISTRY = {
     "pointwise_stability": (pointwise_stability, ("kappa", "sigma", "disc", "lam")),
     "pointwise_stability_shifted_labels": (
         pointwise_stability_shifted_labels,
-        ("kappa", "bound", "disc", "lam", "label_gap"),
-    ),
-    "pointwise_stability_agnostic": (
-        pointwise_stability_agnostic,
         ("kappa", "bound", "disc", "lam", "label_gap"),
     ),
     "zeroone_classification": (zeroone_classification, ("emp_loss", "rad", "m", "delta")),

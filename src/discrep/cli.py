@@ -19,7 +19,6 @@ from .core import KernelBounded, LinearBounded, Threshold1D
 from .distance import (
     DirectionWitness,
     IntervalWitness,
-    RegionWitness,
     disc_01_threshold1d,
     disc_l2_kernel,
     disc_l2_linear,
@@ -69,8 +68,6 @@ def _witness_json(witness):
             "lo": None if np.isinf(witness.lo) else witness.lo,
             "hi": None if np.isinf(witness.hi) else witness.hi,
         }
-    if isinstance(witness, RegionWitness):
-        return {"kind": "region", "points": [list(p) for p in witness.points]}
     if isinstance(witness, DirectionWitness):
         return {"kind": "direction", "vector": [float(v) for v in witness.vector]}
     raise TypeError(f"unknown witness type {type(witness).__name__}")

@@ -1,5 +1,5 @@
 """Shared domain types: weighted empirical distributions, labeled samples,
-hypothesis-class descriptors, loss specifications, and simplex weight vectors.
+hypothesis-class descriptors, and simplex weight vectors.
 
 Conventions used throughout the package:
 
@@ -10,10 +10,8 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -33,11 +31,6 @@ def as_point_array(points) -> np.ndarray:
         raise ValueError("points must be finite (no NaN or inf)")
     pts.setflags(write=False)
     return pts
-
-
-def point_key(vec) -> tuple:
-    """Hashable exact-equality key for a support point."""
-    return tuple(float(c) for c in np.atleast_1d(vec))
 
 
 def _unique_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,11 +100,6 @@ class WeightedEmpirical:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
 
-    @cached_property
-    def _mass(self) -> dict:
-        # tuple(row.tolist()) is point_key(row), built without a per-row numpy call
-        return dict(zip(map(tuple, self.points.tolist()), self.weights.tolist()))
-
     @property
     def dim(self) -> int:
         return self.points.shape[1]
@@ -119,16 +107,6 @@ class WeightedEmpirical:
     @property
     def size(self) -> int:
         return self.points.shape[0]
-
-    def keys(self) -> list[tuple]:
-        return list(self._mass)
-
-    def mass(self, key: tuple) -> float:
-        """Probability of a single support point (0.0 off-support)."""
-        return self._mass.get(key, 0.0)
-
-    def mass_of_keys(self, keys) -> float:
-        return float(sum(self._mass.get(k, 0.0) for k in keys))
 
     @classmethod
     def from_points(cls, points, weights=None) -> "WeightedEmpirical":
@@ -242,78 +220,6 @@ class KernelBounded:
 
 
 HypothesisSpec = Union[Threshold1D, LinearBounded, KernelBounded]
-
-
-# --------------------------------------------------------------------------
-# losses
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """A bounded loss: zero-one, |a-b|^q, or the square loss (q = 2).
-
-    ``bound`` is the promised ceiling M on attained loss values; zero-one
-    forces bound = 1.
-    """
-
-    kind: str
-    bound: float = 1.0
-    q: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("zero_one", "lq", "square"):
-            raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.kind == "zero_one" and self.bound != 1.0:
-            raise ValueError("zero-one loss has bound 1 by definition")
-        if not (math.isfinite(self.bound) and self.bound > 0):
-            raise ValueError("bound must be a positive finite real")
-        if self.kind == "square" and self.q != 2.0:
-            raise ValueError("square loss has exponent 2 by definition")
-        if self.kind == "lq" and not (math.isfinite(self.q) and self.q >= 1.0):
-            raise ValueError("exponent q must satisfy q >= 1")
-
-    @classmethod
-    def zero_one(cls) -> "LossSpec":
-        return cls("zero_one", 1.0, 1.0)
-
-    @classmethod
-    def lq(cls, q: float, bound: float) -> "LossSpec":
-        return cls("lq", bound, q)
-
-    @classmethod
-    def square(cls, bound: float) -> "LossSpec":
-        return cls("square", bound, 2.0)
-
-    def pointwise(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if self.kind == "zero_one":
-            return (a != b).astype(float)
-        return np.abs(a - b) ** self.q
-
-    def sigma_admissibility(self) -> float:
-        """Lipschitz factor relating loss differences to prediction differences:
-        q * (2M)^(q-1) for the |a-b|^q family (4M for the square loss)."""
-        if self.kind == "zero_one":
-            raise ValueError("zero-one loss is not sigma-admissible")
-        return float(self.q * (2.0 * self.bound) ** (self.q - 1.0))
-
-
-def hinge_sigma_admissibility() -> float:
-    """Lipschitz factor of the hinge loss (exposed for reference; no hinge training here)."""
-    return 1.0
-
-
-def empirical_loss(loss: LossSpec, dist: WeightedEmpirical, f_values, g_values) -> float:
-    """Weighted average loss sum_i w_i * L(f_i, g_i) over the support of ``dist``."""
-    f = np.asarray(f_values, dtype=float)
-    g = np.asarray(g_values, dtype=float)
-    if f.shape != (dist.size,) or g.shape != (dist.size,):
-        raise ValueError("value arrays must align with the distribution support")
-    if not (np.isfinite(f).all() and np.isfinite(g).all()):
-        raise ValueError("loss arguments must be finite")
-    return float(np.dot(dist.weights, loss.pointwise(f, g)))
 
 
 # --------------------------------------------------------------------------

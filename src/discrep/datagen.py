@@ -70,14 +70,6 @@ def draw_labeled_target_1d(rng: np.random.Generator, n) -> LabeledSample:
     return LabeledSample(xs, interval_labels(xs))
 
 
-def gen_gaussian_1d(seed, m, n) -> tuple[LabeledSample, np.ndarray]:
-    """Labeled source sample of size m and unlabeled target points of size n."""
-    rng = np.random.default_rng(seed)
-    source = draw_source_1d(rng, m)
-    target = draw_target_1d(rng, n)
-    return source, target
-
-
 def _check_dim(dim) -> int:
     dim = int(dim)
     if dim not in REG_DIMS:
@@ -100,15 +92,3 @@ def draw_labeled_target_regression(rng: np.random.Generator, n, dim) -> LabeledS
     xs = draw_target_regression(rng, n, dim)
     return LabeledSample(xs, tent_values(xs))
 
-
-def gen_gaussian_regression(seed, m, n, dim) -> tuple[LabeledSample, np.ndarray]:
-    """Labeled source sample and unlabeled target points for the mirrored clouds.
-
-    The source sits on the positive diagonal where the tent target slopes
-    downward, the target cloud on the negative diagonal where it slopes upward,
-    so fits trained on the two sides disagree in slope sign.
-    """
-    rng = np.random.default_rng(seed)
-    source = draw_source_regression(rng, m, dim)
-    target = draw_target_regression(rng, n, dim)
-    return source, target

@@ -4,15 +4,14 @@ The discrepancy between two distributions, relative to a loss and a hypothesis
 class, is the largest gap between the expected losses a pair of hypotheses can
 exhibit under the two distributions. Each ``disc_*`` routine below computes it
 for one (loss, class) combination and reports a witness of the maximizing
-pair: a region on the real line for the 0-1 threshold class, a subset of the
-joint support for the brute-force enumerator, or a direction vector for the
-quadratic-loss classes.
+pair: a region on the real line for the 0-1 threshold class, or a direction
+vector for the quadratic-loss classes.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .core import (
     Threshold1D,
     WeightedEmpirical,
     _unique_rows,
-    point_key,
 )
 from .linalg import MatrixLike, SymMatrix, psd_sqrt, spectral_abs_max
 
@@ -40,13 +38,6 @@ class IntervalWitness:
 
 
 @dataclass(frozen=True)
-class RegionWitness:
-    """A subset of the joint support (as exact point tuples)."""
-
-    points: tuple
-
-
-@dataclass(frozen=True)
 class DirectionWitness:
     """A direction of norm <= 2 witnessing a quadratic-form gap."""
 
@@ -58,7 +49,7 @@ class DirectionWitness:
         object.__setattr__(self, "vector", v)
 
 
-Witness = Union[IntervalWitness, RegionWitness, DirectionWitness]
+Witness = Union[IntervalWitness, DirectionWitness]
 
 
 @dataclass(frozen=True)
@@ -126,8 +117,7 @@ def disc_01_threshold1d(q: WeightedEmpirical, p: WeightedEmpirical) -> Discrepan
     intervals (and their complements, which give identical gaps), so the value
     is the largest |q(a) - p(a)| over intervals with endpoints at support
     points. Computed by a linear scan over prefix sums of the sorted mass
-    difference; exactness is cross-checked against the power-set enumerator in
-    the test suite.
+    difference; the test suite cross-checks it against power-set enumeration.
     """
     xs, qm, pm = _sorted_support_1d(q, p)
     d = qm - pm
@@ -147,56 +137,6 @@ def disc_01_threshold1d(q: WeightedEmpirical, p: WeightedEmpirical) -> Discrepan
     lo = float(xs[i - 1]) if i > 0 else NEG_INF
     hi = float(xs[j])
     return DiscrepancyResult(max(value, 0.0), IntervalWitness(lo, hi))
-
-
-def _mask_bits(count: int, width: int) -> np.ndarray:
-    masks = np.arange(count, dtype=np.int64)
-    return ((masks[:, None] >> np.arange(width)[None, :]) & 1).astype(bool)
-
-
-def disc_01_bruteforce(
-    q: WeightedEmpirical,
-    p: WeightedEmpirical,
-    max_support: int = 16,
-    hypothesis: Optional[HypothesisSpec] = None,
-) -> DiscrepancyResult:
-    """0-1 discrepancy by exhaustive region enumeration over the joint support.
-
-    Every subset of the support is a candidate region. When ``hypothesis`` is
-    the 1-d threshold class the candidates are filtered to interval traces and
-    their complements (realizability is decidable there); for other classes
-    the unfiltered power set is used, which upper-bounds any class-restricted
-    value. Supports of more than ``max_support`` points are refused: the
-    enumeration is exponential and anything larger is a combinatorial blowup.
-    """
-    pts, qm, pm = joint_support(q, p)
-    p0 = pts.shape[0]
-    if p0 > max_support:
-        raise ValueError(
-            f"joint support has {p0} points > max_support={max_support}: "
-            "refusing combinatorial blowup"
-        )
-    d = qm - pm
-    bits = _mask_bits(2**p0, p0)
-    if hypothesis is not None and isinstance(hypothesis, Threshold1D):
-        if q.dim != 1:
-            raise ValueError("threshold-class filtering needs 1-d supports")
-        order = np.argsort(pts[:, 0], kind="stable")
-        sb = bits[:, order]
-
-        def contiguous(b):
-            count = b.sum(axis=1)
-            first = np.argmax(b, axis=1)
-            last = b.shape[1] - 1 - np.argmax(b[:, ::-1], axis=1)
-            return (count > 0) & (last - first + 1 == count)
-
-        keep = contiguous(sb) | contiguous(~sb)
-        bits = bits[keep]
-    gaps = np.abs(bits @ d)
-    best = int(np.argmax(gaps))
-    chosen = bits[best]
-    region = tuple(point_key(pts[i]) for i in np.nonzero(chosen)[0])
-    return DiscrepancyResult(float(gaps[best]), RegionWitness(region))
 
 
 # --------------------------------------------------------------------------
@@ -261,11 +201,16 @@ class RademacherEstimate:
     exact: bool
 
 
-def _threshold_sups(sigma_sorted: np.ndarray) -> np.ndarray:
-    """Per-row sup over prefix/suffix {0,1} indicators, columns in sorted-x order."""
+def _threshold_sups(sigma_sorted: np.ndarray, xs_sorted: np.ndarray) -> np.ndarray:
+    """Per-row sup over prefix/suffix {0,1} indicators, columns in sorted-x order.
+
+    No threshold separates equal points (0.0 == -0.0), so the prefix sums are
+    kept only at the two ends and between distinct values.
+    """
     pre = np.concatenate(
         [np.zeros((sigma_sorted.shape[0], 1)), np.cumsum(sigma_sorted, axis=1)], axis=1
     )
+    pre = pre[:, np.concatenate(([True], xs_sorted[1:] != xs_sorted[:-1], [True]))]
     tot = pre[:, -1:]
     return np.maximum(np.abs(pre).max(axis=1), np.abs(tot - pre).max(axis=1))
 
@@ -296,10 +241,6 @@ def _sigma_rows(m: int, trials: int, seed) -> np.ndarray:
     return out
 
 
-def _enumerated_sigma(m: int) -> np.ndarray:
-    return np.where(_mask_bits(2**m, m), 1.0, -1.0)
-
-
 EXACT_ENUMERATION_LIMIT = 20
 
 
@@ -313,6 +254,7 @@ def rademacher_threshold1d_exact(points, trials: int = 1000, seed=None) -> Radem
     xs = _points_1d(points)
     m = xs.size
     order = np.argsort(xs, kind="stable")
+    xs_sorted = xs[order]
     if m <= EXACT_ENUMERATION_LIMIT:
         total = 2**m
         acc = 0.0
@@ -322,9 +264,10 @@ def rademacher_threshold1d_exact(points, trials: int = 1000, seed=None) -> Radem
             sigma = np.where(
                 ((masks[:, None] >> np.arange(m)[None, :]) & 1).astype(bool), 1.0, -1.0
             )
-            acc += _threshold_sups(sigma).sum()
+            # every sign pattern is drawn, so column j may stand for the j-th smallest point
+            acc += _threshold_sups(sigma, xs_sorted).sum()
         return RademacherEstimate((2.0 / m) * acc / total, 0.0, total, True)
-    sups = _threshold_sups(_sigma_rows(m, trials, seed)[:, order])
+    sups = _threshold_sups(_sigma_rows(m, trials, seed)[:, order], xs_sorted)
     value = (2.0 / m) * float(sups.mean())
     stderr = (2.0 / m) * float(sups.std(ddof=1)) / math.sqrt(trials)
     return RademacherEstimate(value, stderr, trials, False)
@@ -343,7 +286,7 @@ def rademacher_montecarlo(
         xs = _points_1d(points)
         m = xs.size
         order = np.argsort(xs, kind="stable")
-        sups = _threshold_sups(_sigma_rows(m, trials, seed)[:, order])
+        sups = _threshold_sups(_sigma_rows(m, trials, seed)[:, order], xs[order])
     elif isinstance(hypothesis, LinearBounded):
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:

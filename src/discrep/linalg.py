@@ -37,9 +37,6 @@ class SymMatrix:
     def order(self) -> int:
         return self.data.shape[0]
 
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.data))
-
 
 MatrixLike = Union[SymMatrix, np.ndarray]
 

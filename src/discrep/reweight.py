@@ -505,42 +505,3 @@ def minimize_l2_kernel(
     cfg = cfg or SolverConfig()
     family = l2_kernel_family(q, p, gram)
     return _minimize_l2(family, cfg)
-
-
-# --------------------------------------------------------------------------
-# brute-force oracle
-# --------------------------------------------------------------------------
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def grid_oracle(objective, m0: int, step: float):
-    """Exhaustive simplex-grid minimization for tiny problems.
-
-    Enumerates the grid in lexicographic order and keeps the first strict
-    minimum, so results are deterministic. Returns ``(z, value)``.
-    """
-    if int(m0) != m0 or not (1 <= m0 <= 4):
-        raise ValueError("grid oracle supports between 1 and 4 weights")
-    m0 = int(m0)
-    if not (math.isfinite(step) and 0 < step <= 1):
-        raise ValueError("step must lie in (0, 1]")
-    k = round(1.0 / step)
-    if abs(k * step - 1.0) > 1e-9:
-        raise ValueError("step must evenly divide 1")
-    best_z = None
-    best_val = np.inf
-    for comp in _compositions(k, m0):
-        z = np.array(comp, dtype=float) / k
-        val = float(objective(z))
-        if val < best_val:
-            best_val = val
-            best_z = z
-    return best_z, best_val

@@ -17,7 +17,6 @@ from discrep import (
     WeightedEmpirical,
     bound_value,
     canonical_regions_1d,
-    disc_01_bruteforce,
     disc_01_threshold1d,
     disc_l2_kernel,
     disc_l2_linear,
@@ -33,7 +32,7 @@ from discrep import (
     run_experiment_2,
     verify_stability_bound,
 )
-from discrep.core import point_key
+from oracles import disc_01_bruteforce
 
 # Weights are multiples of 1/1024, so every mass sum below is exact in binary
 # floating point and value comparisons can demand bitwise equality.
@@ -76,14 +75,11 @@ def planar_pair(rng, m0, n0):
 
 def max_unlabeled_mass(q, p):
     """Largest target mass over regions that avoid every reweightable point."""
-    pts, _, _ = joint_support(q, p)
-    keys = [point_key(r) for r in pts]
-    q_keys = set(q.keys())
+    _, _, pm = joint_support(q, p)
     best = 0.0
     for row in canonical_regions_1d(q, p):
-        region = frozenset(keys[c] for c in np.flatnonzero(row))
-        if not (region & q_keys):
-            best = max(best, p.mass_of_keys(region))
+        if not row[: q.size].any():  # joint_support puts q's points first
+            best = max(best, float(pm[row].sum()))
     return best
 
 
@@ -113,7 +109,7 @@ def test_criterion_02_threshold_scan_matches_bruteforce():
     for _ in range(200):
         q, p = pair_1d(rng, 6, -1.0, 1.0, shared_prob=0.3)
         fast = disc_01_threshold1d(q, p).value
-        brute = disc_01_bruteforce(q, p, max_support=12, hypothesis=Threshold1D()).value
+        brute, _ = disc_01_bruteforce(q, p, max_support=12, hypothesis=Threshold1D())
         assert fast == brute
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

@@ -82,13 +82,6 @@ def test_shifted_labels_with_zero_gap_matches_matching_label_form():
     assert shifted == pytest.approx(matching, rel=1e-12)
 
 
-def test_agnostic_variant_shares_the_shifted_formula():
-    kwargs = dict(kappa=1.0, bound=1.5, disc=0.02, lam=0.3, label_gap=0.1)
-    assert bounds.pointwise_stability_agnostic(**kwargs) == pytest.approx(
-        bounds.pointwise_stability_shifted_labels(**kwargs)
-    )
-
-
 def test_deviation_terms_shrink_with_sample_size_and_grow_with_confidence():
     loose = bounds.zeroone_disc_estimation(rad=0.0, m=50, delta=0.1)
     tighter = bounds.zeroone_disc_estimation(rad=0.0, m=5000, delta=0.1)
@@ -112,7 +105,6 @@ def test_registry_round_trip():
         "adaptation_empirical_zeroone",
         "pointwise_stability",
         "pointwise_stability_shifted_labels",
-        "pointwise_stability_agnostic",
         "zeroone_classification",
     }
 

@@ -152,6 +152,17 @@ def test_rademacher_exact_json(capsys, tmp_path):
     assert payload["trials"] == 16
 
 
+def test_rademacher_counts_repeated_rows_once(capsys, tmp_path):
+    # the reader keeps repeated rows; no threshold separates them
+    path = tmp_path / "tied.csv"
+    write_sample_csv(path, [0.0, -0.0, 1.0])
+    code, out, _ = run_cli(capsys, "rademacher", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["exact"] is True and payload["trials"] == 8
+    assert payload["value"] == pytest.approx(7 / 6, abs=1e-15)
+
+
 def test_rademacher_linear_montecarlo(capsys, tmp_path):
     path = tmp_path / "pts.csv"
     write_sample_csv(path, np.random.default_rng(1).normal(size=(30, 2)))
@@ -262,4 +273,12 @@ def test_parse_kernel():
 def test_unknown_bound_name_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "not_a_bound", "m=1"])
+    assert exc.value.code == 2
+
+
+def test_removed_agnostic_bound_name_exits_2(capsys):
+    # the agnostic case is pointwise_stability_shifted_labels with the best in-class gap
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "pointwise_stability_agnostic",
+              "kappa=1", "bound=1.5", "disc=0.02", "lam=0.3", "label_gap=0.1"])
     assert exc.value.code == 2

@@ -1,18 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from discrep.core import (
     KernelBounded,
     LinearBounded,
     Threshold1D,
     WeightedEmpirical,
-    point_key,
 )
 from discrep.distance import (
     DirectionWitness,
     IntervalWitness,
-    RegionWitness,
-    disc_01_bruteforce,
     disc_01_threshold1d,
     disc_l2_kernel,
     disc_l2_linear,
@@ -23,6 +24,7 @@ from discrep.distance import (
     rademacher_threshold1d_exact,
 )
 from discrep.linalg import GaussianKernel, LinearKernel, gram_matrix
+from oracles import disc_01_bruteforce
 
 
 def rand_dist(rng, dim=1, max_pts=6, grid=None):
@@ -95,7 +97,7 @@ def test_disc_threshold_matches_bruteforce():
         q = rand_dist(rng, grid=np.linspace(-1, 1, 7))
         p = rand_dist(rng, grid=np.linspace(-1, 1, 7))
         fast = disc_01_threshold1d(q, p).value
-        slow = disc_01_bruteforce(q, p, hypothesis=Threshold1D()).value
+        slow, _ = disc_01_bruteforce(q, p, hypothesis=Threshold1D())
         assert fast == pytest.approx(slow, abs=1e-12)
 
 
@@ -110,11 +112,11 @@ def test_bruteforce_unfiltered_is_total_variation():
     rng = np.random.default_rng(5)
     for _ in range(40):
         q, p = rand_dist(rng, dim=2, max_pts=4), rand_dist(rng, dim=2, max_pts=4)
-        res = disc_01_bruteforce(q, p)
-        assert res.value == pytest.approx(0.5 * l1_distance(q, p), abs=1e-12)
-        assert isinstance(res.witness, RegionWitness)
-        got = abs(q.mass_of_keys(res.witness.points) - p.mass_of_keys(res.witness.points))
-        assert got == pytest.approx(res.value, abs=1e-12)
+        value, region = disc_01_bruteforce(q, p)
+        assert value == pytest.approx(0.5 * l1_distance(q, p), abs=1e-12)
+        _, qm, pm = joint_support(q, p)
+        assert region.dtype == bool and region.shape == qm.shape
+        assert abs(region @ (qm - pm)) == pytest.approx(value, abs=1e-12)
 
 
 def test_bruteforce_refuses_blowup():
@@ -225,6 +227,39 @@ def test_rademacher_exact_tiny_cases():
     est2 = rademacher_threshold1d_exact([0.1, 0.9])
     assert est2.value == pytest.approx(1.5)
     assert est2.trials == 4
+
+
+def brute_threshold_rademacher(xs):
+    """(2/m) E_sigma max |sigma . h| over the labelings thresholds realize on xs."""
+    m = len(xs)
+    cuts = [-np.inf] + sorted(set(xs))  # the set holds one of 0.0 and -0.0
+    below = np.array([[x <= t for x in xs] for t in cuts], dtype=float)
+    labelings = np.vstack([below, 1.0 - below])
+    signs = np.array(list(itertools.product([-1.0, 1.0], repeat=m)))
+    return (2.0 / m) * float(np.abs(signs @ labelings.T).max(axis=1).mean())
+
+
+def test_rademacher_exact_counts_tied_points_once():
+    # no threshold separates equal points, so [0, 0] acts as one point of weight 2
+    assert rademacher_threshold1d_exact([0.0, 0.0]).value == 1.0
+    assert rademacher_threshold1d_exact([3.0, 3.0, 3.0]).value == 1.0
+    assert rademacher_threshold1d_exact([0.0, -0.0, 1.0]).value == pytest.approx(7 / 6, abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0, 2.5]), min_size=1, max_size=10))
+@example([0.0, -0.0, 0.0, 1.0, -0.0])
+def test_rademacher_exact_matches_brute_force_on_ties(xs):
+    got = rademacher_threshold1d_exact(xs).value
+    assert got == pytest.approx(brute_threshold_rademacher(xs), abs=1e-12)
+
+
+def test_rademacher_montecarlo_counts_tied_points_once():
+    # on one repeated point every threshold labels all or none, so each draw's
+    # sup is |sum sigma|: the linear class on x = 1 under the same signs
+    tied = rademacher_montecarlo(Threshold1D(), np.full(7, -0.0), trials=300, seed=3)
+    linear = rademacher_montecarlo(LinearBounded(1), np.ones(7), trials=300, seed=3)
+    assert tied == linear
 
 
 def test_rademacher_exact_vs_montecarlo():

